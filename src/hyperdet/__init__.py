@@ -10,143 +10,16 @@ verification, and a named check battery (`hyperdet verify-paper`).
 Everything is exact: arbitrary-precision integers and rationals, no floats.
 """
 
-from .arrays import (
-    HyperArray,
-    InvarianceReport,
-    ModeMatrix,
-    ShapeMismatchError,
-    array_from_json_bytes,
-    array_to_json_bytes,
-    covariance_exponents,
-    evaluate,
-    invariance_check,
-    mode_matrix_from_json_bytes,
-    mode_matrix_to_json_bytes,
-    mode_transform,
-    random_unimodular,
-)
-from .dimensions import (
-    DataColumn,
-    FORMULA_IDS,
-    TableReport,
-    conjecture_dim,
-    formula_coefficients,
-    interpolate_dims,
-    table_column,
-    verify_table,
-)
-from .operators import (
-    KernelResult,
-    OperatorMatrix,
-    RaisingOp,
-    apply_raising,
-    assemble_matrix,
-    exact_kernel,
-    find_invariant,
-    integer_kernel,
-    matrix_to_json_bytes,
-    primitive_vector,
-    raise_monomial,
-    raising_ops,
-    weight_shift,
-)
-from .orbits import (
-    DECOMPOSITION_SEEDS,
-    GroupElement,
-    act,
-    group_elements,
-    parity,
-    seed_exponents,
-    signed_orbit,
-    theorem_decomposition,
-)
-from .polynomials import (
-    IntPolynomial,
-    LETTERS,
-    cells,
-    exps_from_digits,
-    exps_to_digits,
-    flat_index,
-    from_json_bytes,
-    from_letter_text,
-    to_json_bytes,
-    to_letter_text,
-)
-from .verify import CheckResult, fixture_invariant, oracle_invariants, run_checks
-from .weights import (
-    WeightSpaceBasis,
-    count_dim,
-    enumerate_basis,
-    feasible_degree,
-    slice_sums_for,
-    weight_of,
-    zero_weight,
-)
+from .arrays import HyperArray, evaluate, invariance_check
+from .operators import find_invariant
+from .orbits import signed_orbit
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CheckResult",
-    "DataColumn",
-    "DECOMPOSITION_SEEDS",
-    "FORMULA_IDS",
-    "GroupElement",
     "HyperArray",
-    "IntPolynomial",
-    "InvarianceReport",
-    "KernelResult",
-    "LETTERS",
-    "ModeMatrix",
-    "OperatorMatrix",
-    "RaisingOp",
-    "ShapeMismatchError",
-    "TableReport",
-    "WeightSpaceBasis",
-    "act",
-    "apply_raising",
-    "array_from_json_bytes",
-    "array_to_json_bytes",
-    "assemble_matrix",
-    "cells",
-    "conjecture_dim",
-    "count_dim",
-    "covariance_exponents",
-    "enumerate_basis",
     "evaluate",
-    "exact_kernel",
-    "exps_from_digits",
-    "exps_to_digits",
-    "feasible_degree",
     "find_invariant",
-    "fixture_invariant",
-    "flat_index",
-    "formula_coefficients",
-    "from_json_bytes",
-    "from_letter_text",
-    "group_elements",
-    "integer_kernel",
-    "interpolate_dims",
     "invariance_check",
-    "matrix_to_json_bytes",
-    "mode_matrix_from_json_bytes",
-    "mode_matrix_to_json_bytes",
-    "mode_transform",
-    "oracle_invariants",
-    "parity",
-    "primitive_vector",
-    "raise_monomial",
-    "raising_ops",
-    "random_unimodular",
-    "run_checks",
-    "seed_exponents",
     "signed_orbit",
-    "slice_sums_for",
-    "table_column",
-    "theorem_decomposition",
-    "to_json_bytes",
-    "to_letter_text",
-    "verify_table",
-    "weight_of",
-    "weight_shift",
-    "zero_weight",
 ]

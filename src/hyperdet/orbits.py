@@ -56,18 +56,6 @@ class GroupElement:
         """Parities of the first two components only; the frontal part is unsigned."""
         return parity(self.rows) * parity(self.cols)
 
-    def compose(self, other: GroupElement) -> GroupElement:
-        """self after other: (self * other) acting as self(other(index))."""
-
-        def chain(p: Permutation, q: Permutation) -> Permutation:
-            return tuple(p[q[i] - 1] for i in range(len(p)))
-
-        return GroupElement(
-            chain(self.rows, other.rows),
-            chain(self.cols, other.cols),
-            chain(self.fronts, other.fronts),
-        )
-
 
 def group_elements(shape=(2, 2, 3)) -> tuple[GroupElement, ...]:
     """The full product group; 2 * 2 * 6 = 24 elements for shape (2,2,3)."""

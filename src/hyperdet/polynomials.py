@@ -69,23 +69,6 @@ def cells(shape: Shape) -> Iterator[tuple[int, int, int]]:
                 yield (i, j, k)
 
 
-def degree_of(exps: Exponents) -> int:
-    return sum(exps)
-
-
-def canonical_compare(a: Exponents, b: Exponents) -> int:
-    """Total order on exponent vectors: lexicographic on the flat entries.
-
-    Returns -1, 0 or +1.  "Greater" vectors sort first in term lists, so the
-    canonical term order is descending in this comparison.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)} vs {len(b)} exponents")
-    if a == b:
-        return 0
-    return 1 if a > b else -1
-
-
 def exps_from_digits(digits: str) -> Exponents:
     """Parse a monomial written as a digit string, e.g. '200001100002'."""
     if not digits.isdigit():
@@ -139,10 +122,6 @@ class IntPolynomial:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        """Total degree (0 for the zero polynomial)."""
-        return max((degree_of(e) for e, _ in self.terms), default=0)
 
     def coefficient(self, exps: Exponents) -> int:
         exps = tuple(exps)

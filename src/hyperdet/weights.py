@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polynomials import Exponents, Shape, check_shape, flat_index
+from .polynomials import Exponents, Shape, check_shape
 
 Weight = tuple[int, ...]
 
@@ -333,26 +333,3 @@ def _count_general(rows, cols, fronts) -> int:
     zero_r = (0,) * len(rows)
     zero_c = (0,) * len(cols)
     return states.get((zero_r, zero_c), 0)
-
-
-def basis_product_weights(shape, exps: Exponents) -> Weight:
-    """Weight of a monomial as the exponent-weighted sum of variable weights.
-
-    Used as an independent cross-check of weight_of: the weight map is
-    additive over exponents.
-    """
-    shape = check_shape(shape)
-    total = [0] * weight_length(shape)
-    pos = 0
-    a, b, c = shape
-    for k in range(1, c + 1):
-        for i in range(1, a + 1):
-            for j in range(1, b + 1):
-                e = exps[pos]
-                if e:
-                    unit = [0] * len(exps)
-                    unit[flat_index(shape, i, j, k)] = 1
-                    var_w = weight_of(shape, tuple(unit))
-                    total = [t + e * w for t, w in zip(total, var_w)]
-                pos += 1
-    return tuple(total)

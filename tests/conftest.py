@@ -1,54 +1,28 @@
 """Terminal reporting for the acceptance battery.
 
-Maps each acceptance test to its criterion number and prints one pass/fail
-line per criterion after the run.  All criteria compare exactly
-(integer/rational equality, tolerance 0); timed criteria attach the
-measured wall time as a note.
+Maps each generated `test_criterion[<check>]` to its criterion number, the
+check's position in the `verify` registry, and prints one pass/fail line per
+criterion after the run.  All criteria compare exactly (integer/rational
+equality, tolerance 0).
 """
 
 import pytest
 
-CRITERIA = {
-    "test_criterion_01_basis_reproduction": (
-        1,
-        "weight-zero basis: the 80 degree-6 monomials, order and bytes",
+from hyperdet.verify import check_names
+
+LABELS = {
+    "basis-monomials": "weight-zero basis: the 80 degree-6 monomials, order and bytes",
+    "codomain-dimensions": "raising-operator codomains have dimensions 63, 63, 60, 60",
+    "matrix-kernel": "stacked matrix is 246x80 with exact rank 79, nullity 1",
+    "coefficient-table": (
+        "kernel vector equals the 4x20 table; 66 terms in {+-1, +-2}; letter display"
     ),
-    "test_criterion_02_codomain_dimensions": (
-        2,
-        "raising-operator codomains have dimensions 63, 63, 60, 60",
-    ),
-    "test_criterion_03_matrix_and_kernel": (
-        3,
-        "stacked matrix is 246x80 with exact rank 79, nullity 1",
-    ),
-    "test_criterion_04_coefficient_table": (
-        4,
-        "kernel vector equals the 4x20 table; 66 terms in {+-1, +-2}; letter display",
-    ),
-    "test_criterion_05_annihilation": (
-        5,
-        "all four raising operators annihilate the invariant exactly",
-    ),
-    "test_criterion_06_theorem_decomposition": (
-        6,
-        "signed orbits (supports 12, 24, 12, 12, 6) combine to the invariant",
-    ),
-    "test_criterion_07_invariance": (
-        7,
-        "100 unimodular trials preserve the value; diagonal covariance holds",
-    ),
-    "test_criterion_08_cayley_regression": (
-        8,
-        "2x2x2 degree-4 pipeline: nullity 1, oracle match, annihilation, invariance",
-    ),
-    "test_criterion_09_dimension_table": (
-        9,
-        "counting DP reproduces all 51 table entries; enumeration cross-check",
-    ),
-    "test_criterion_10_dimension_conjecture": (
-        10,
-        "closed forms match all 17 degrees; interpolation recovers coefficients",
-    ),
+    "annihilation": "all four raising operators annihilate the invariant exactly",
+    "orbit-decomposition": "signed orbits (supports 12, 24, 12, 12, 6) combine to the invariant",
+    "invariance": "100 unimodular trials preserve the value; diagonal covariance holds",
+    "cayley": "2x2x2 degree-4 pipeline: nullity 1, oracle match, annihilation, invariance",
+    "dims-table": "counting DP reproduces all 51 table entries; enumeration cross-check",
+    "dims-conjecture": "closed forms match all 17 degrees; interpolation recovers coefficients",
 }
 
 _outcomes = {}
@@ -58,22 +32,18 @@ _outcomes = {}
 def pytest_runtest_makereport(item, call):
     outcome = yield
     report = outcome.get_result()
-    entry = CRITERIA.get(item.name)
-    if entry is None:
+    if item.originalname != "test_criterion":
         return
-    num, label = entry
-    if report.when == "call":
-        note = dict(report.user_properties).get("note", "")
-        _outcomes[num] = (label, report.passed, note)
-    elif report.failed:
-        _outcomes[num] = (label, False, "")
+    name = item.callspec.params["name"]
+    if report.when == "call" or report.failed:
+        _outcomes[name] = report.passed
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _outcomes:
         return
     terminalreporter.section("acceptance criteria (exact comparisons, tolerance 0)")
-    for num, (label, passed, note) in sorted(_outcomes.items()):
-        status = "pass" if passed else "FAIL"
-        suffix = f"  [{note}]" if note else ""
-        terminalreporter.write_line(f"criterion {num:>2} {status}  {label}{suffix}")
+    for num, name in enumerate(check_names(), start=1):
+        if name in _outcomes:
+            status = "pass" if _outcomes[name] else "FAIL"
+            terminalreporter.write_line(f"criterion {num:>2} {status}  {LABELS[name]}")

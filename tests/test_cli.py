@@ -256,15 +256,33 @@ def test_verify_paper_only_filter(capsys):
     assert "no checks match" in err
 
 
+# Negative controls: (fixture, corruption, the checks reading it that must FAIL)
+CORRUPTIONS = [
+    (
+        "COEFFICIENTS",
+        lambda c: c[:1] + (-c[1],) + c[2:],
+        ["coefficient-table", "annihilation", "orbit-decomposition", "invariance"],
+    ),
+    ("COEFFICIENTS", lambda c: (0,) * len(c), ["annihilation"]),
+    (
+        "DIM_TABLE",
+        lambda t: ((t[0][0], t[0][1] + 1) + t[0][2:],) + t[1:],
+        ["dims-table", "dims-conjecture"],
+    ),
+    # entry 0 replaced by a copy of entry 1
+    ("BASIS_DEG6_WEIGHT0", lambda b: b[1:2] + b[1:], ["basis-monomials"]),
+]
+
+
 def test_verify_paper_corrupted_fixture_fails(capsys, monkeypatch):
-    """Negative control: flip one golden coefficient, the right check fails."""
-    orig = reference.COEFFICIENTS
-    corrupted = orig[:1] + (-orig[1],) + orig[2:]
-    monkeypatch.setattr(reference, "COEFFICIENTS", corrupted)
-    code, out, err = run(capsys, "verify-paper", "--only", "coefficient-table")
-    assert code == 1
-    assert out.startswith("FAIL coefficient-table:")
-    assert "0/1 checks passed" in err
+    for fixture, corrupt, failing in CORRUPTIONS:
+        with monkeypatch.context() as patch:
+            patch.setattr(reference, fixture, corrupt(getattr(reference, fixture)))
+            for name in failing:
+                code, out, err = run(capsys, "verify-paper", "--only", name)
+                assert code == 1, (fixture, name)
+                assert out.startswith(f"FAIL {name}:")
+                assert "0/1 checks passed" in err
 
 
 def test_usage_errors_and_help(capsys):

@@ -190,7 +190,7 @@ def test_kernel_matches_reference_table():
 def test_find_invariant():
     poly = find_invariant(SHAPE, 6)
     assert len(poly) == 66
-    assert poly.degree() == 6
+    assert {sum(e) for e, _ in poly} == {6}
     for op in raising_ops(SHAPE):
         assert apply_raising(op, poly).is_zero
     assert find_invariant(SHAPE, 3) is None

@@ -23,6 +23,17 @@ from hyperdet.weights import weight_of
 SHAPE = (2, 2, 3)
 
 
+def compose(g: GroupElement, h: GroupElement) -> GroupElement:
+    """g after h: (g * h) acting as g(h(index))."""
+
+    def chain(p, q):
+        return tuple(p[q[i] - 1] for i in range(len(p)))
+
+    return GroupElement(
+        chain(g.rows, h.rows), chain(g.cols, h.cols), chain(g.fronts, h.fronts)
+    )
+
+
 def test_parity():
     assert parity((1, 2, 3)) == 1
     assert parity((2, 1, 3)) == -1
@@ -48,7 +59,7 @@ def test_sign_multiplicative_and_ignores_fronts():
     elements = group_elements(SHAPE)
     for _ in range(30):
         g, h = rng.choice(elements), rng.choice(elements)
-        assert (g.compose(h)).sign == g.sign * h.sign
+        assert compose(g, h).sign == g.sign * h.sign
     # a pure frontal 3-cycle is odd as a permutation but carries sign +1
     tau = GroupElement((1, 2), (1, 2), (2, 3, 1))
     sigma = GroupElement((1, 2), (1, 2), (2, 1, 3))
@@ -65,7 +76,7 @@ def test_act_identity_and_law():
     for _ in range(30):
         g, h = rng.choice(elements), rng.choice(elements)
         m = tuple(rng.randint(0, 2) for _ in range(12))
-        assert act(g.compose(h), m) == act(g, act(h, m))
+        assert act(compose(g, h), m) == act(g, act(h, m))
         assert sum(act(g, m)) == sum(m)
 
 

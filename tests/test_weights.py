@@ -6,14 +6,14 @@ from random import Random
 import pytest
 
 from hyperdet import reference
-from hyperdet.polynomials import exps_from_digits, exps_to_digits
+from hyperdet.polynomials import exps_from_digits, exps_to_digits, flat_index
 from hyperdet.weights import (
-    basis_product_weights,
     count_dim,
     enumerate_basis,
     feasible_degree,
     mode_slice_sums,
     slice_sums_for,
+    weight_length,
     weight_of,
     zero_weight,
 )
@@ -45,6 +45,28 @@ def test_variable_weights():
     assert weight_of(SHAPE, x111) == (1, 1, 1, 0)
     assert weight_of(SHAPE, x223) == (-1, -1, 0, -1)
     assert weight_of(SHAPE, (0,) * 12) == (0, 0, 0, 0)
+
+
+def basis_product_weights(shape, exps):
+    """Weight of a monomial as the exponent-weighted sum of variable weights.
+
+    Used as an independent cross-check of weight_of: the weight map is
+    additive over exponents.
+    """
+    total = [0] * weight_length(shape)
+    pos = 0
+    a, b, c = shape
+    for k in range(1, c + 1):
+        for i in range(1, a + 1):
+            for j in range(1, b + 1):
+                e = exps[pos]
+                if e:
+                    unit = [0] * len(exps)
+                    unit[flat_index(shape, i, j, k)] = 1
+                    var_w = weight_of(shape, tuple(unit))
+                    total = [t + e * w for t, w in zip(total, var_w)]
+                pos += 1
+    return tuple(total)
 
 
 def test_weight_additive():
