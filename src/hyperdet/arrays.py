@@ -290,7 +290,10 @@ def array_from_json_bytes(data: bytes | str) -> HyperArray:
         slices = doc["slices"]
     except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed array JSON: {exc}") from exc
-    return HyperArray.from_slices(shape, slices)
+    try:
+        return HyperArray.from_slices(shape, slices)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"malformed array JSON: {exc}") from exc
 
 
 def mode_matrix_to_json_bytes(matrix: Matrix) -> bytes:

@@ -8,17 +8,21 @@ the same mode.
 
 A polynomial is invariant exactly when every raising operator kills it, so
 invariants of a given degree are the integer nullspace of the stacked
-operator matrix on the weight-zero space.  The elimination is fraction-free
-(Bareiss), so every intermediate entry is an exact integer minor and the
-resulting rank, nullity and primitive kernel vectors carry no rounding at
-any size.
+operator matrix on the weight-zero space.  The matrix has a few nonzeros
+per row and is stored as sparse rows.  Its kernel is computed modulo
+word-size primes and lifted to the rationals, and `integer_kernel` returns
+it only with an exact certificate over the integers, so the rank, nullity
+and primitive kernel vectors are exact at any size, and the basis is the
+one exact elimination over Q gives.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import islice
+from math import gcd, isqrt, lcm
 
 from .polynomials import IntPolynomial, Shape, check_shape, flat_index
 from .weights import (
@@ -28,6 +32,9 @@ from .weights import (
     enumerate_basis,
     weight_length,
 )
+
+# One matrix row: (column, value) pairs, columns increasing, values nonzero.
+SparseRow = tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -88,19 +95,21 @@ def _transfer_pairs(shape: Shape, op: RaisingOp) -> list[tuple[int, int]]:
     return pairs
 
 
-def raise_monomial(shape, op: RaisingOp, exps) -> list[tuple[int, tuple[int, ...]]]:
-    """Image of a single monomial: list of (coefficient, exponents)."""
-    shape = check_shape(shape)
-    exps = tuple(exps)
-    out = []
-    for src, dst in _transfer_pairs(shape, op):
+def _raise(pairs, exps: tuple[int, ...]):
+    """(coefficient, exponents) terms of one monomial's image, given the
+    operator's transfer pairs."""
+    for src, dst in pairs:
         e = exps[src]
         if e:
             moved = list(exps)
             moved[src] -= 1
             moved[dst] += 1
-            out.append((e, tuple(moved)))
-    return out
+            yield e, tuple(moved)
+
+
+def raise_monomial(shape, op: RaisingOp, exps) -> list[tuple[int, tuple[int, ...]]]:
+    """Image of a single monomial: list of (coefficient, exponents)."""
+    return list(_raise(_transfer_pairs(check_shape(shape), op), tuple(exps)))
 
 
 def apply_raising(op: RaisingOp, poly: IntPolynomial) -> IntPolynomial:
@@ -124,7 +133,8 @@ class OperatorMatrix:
     """Stacked matrix of all raising operators on one weight space.
 
     Row r of block i is the r-th codomain monomial of operator i; column c
-    is the c-th domain monomial.  Rows are stored dense with int entries.
+    is the c-th domain monomial.  Each row is stored sparse, as a tuple of
+    (column, value) pairs with nonzero int values, sorted by column.
     """
 
     shape: Shape
@@ -132,7 +142,7 @@ class OperatorMatrix:
     weight: Weight
     domain: WeightSpaceBasis
     blocks: tuple[OperatorBlock, ...]
-    rows: tuple[tuple[int, ...], ...]
+    rows: tuple[SparseRow, ...]
 
     @property
     def nrows(self) -> int:
@@ -155,8 +165,7 @@ def assemble_matrix(shape, n: int, weight=None) -> OperatorMatrix:
     domain = enumerate_basis(shape, n, weight)
 
     blocks: list[OperatorBlock] = []
-    rows: list[list[int]] = []
-    ncols = len(domain)
+    rows: list[SparseRow] = []
     for op in raising_ops(shape):
         target = tuple(w + s for w, s in zip(weight, weight_shift(shape, op)))
         codomain = enumerate_basis(shape, n, target)
@@ -164,18 +173,22 @@ def assemble_matrix(shape, n: int, weight=None) -> OperatorMatrix:
         if not len(codomain):
             continue
         index = codomain.index_map()
-        block = [[0] * ncols for _ in range(len(codomain))]
+        pairs = _transfer_pairs(shape, op)
+        # Columns are visited in increasing order, so each row dict keeps
+        # its entries sorted by column.
+        block: list[dict[int, int]] = [{} for _ in range(len(codomain))]
         for c, mono in enumerate(domain.monomials):
-            for coeff, moved in raise_monomial(shape, op, mono):
-                block[index[moved]][c] += coeff
-        rows.extend(block)
+            for coeff, moved in _raise(pairs, mono):
+                row = block[index[moved]]
+                row[c] = row.get(c, 0) + coeff
+        rows.extend(tuple(row.items()) for row in block)
     return OperatorMatrix(
         shape=shape,
         degree=n,
         weight=weight,
         domain=domain,
         blocks=tuple(blocks),
-        rows=tuple(tuple(r) for r in rows),
+        rows=tuple(rows),
     )
 
 
@@ -204,50 +217,196 @@ def primitive_vector(vec) -> tuple[int, ...]:
     return tuple(ints)
 
 
-def integer_kernel(rows, ncols: int) -> KernelResult:
-    """Exact rank and primitive kernel basis of an integer matrix.
+# Every prime the kernel works modulo lies in (2**29, 2**30): each one fits
+# in a single 30-bit digit of a Python int.
+_PRIME_BITS = 29
 
-    Fraction-free elimination keeps all entries integral; the kernel vectors
-    are then recovered by back substitution over the echelon rows, one per
-    free column, ordered by free column.
-    """
-    work = [list(r) for r in rows]
-    m = len(work)
-    prev = 1
-    r = 0
-    pivot_cols: list[int] = []
-    for col in range(ncols):
-        piv = next((i for i in range(r, m) if work[i][col]), None)
-        if piv is None:
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; bases 2, 3, 5, 7 decide every n < 3.2e9."""
+    if n < 2:
+        return False
+    for q in (2, 3, 5, 7):
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
             continue
-        work[r], work[piv] = work[piv], work[r]
-        pivrow = work[r]
-        p = pivrow[col]
-        for i in range(r + 1, m):
-            row = work[i]
-            f = row[col]
-            for j in range(col, ncols):
-                row[j] = (p * row[j] - f * pivrow[j]) // prev
-        prev = p
-        pivot_cols.append(col)
-        r += 1
-        if r == m:
-            break
-    rank = r
-    pivot_set = set(pivot_cols)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
+
+def _primes():
+    """The primes in (2**29, 2**30) in descending order: the fixed sequence
+    of moduli the kernel tries."""
+    n = 1 << (_PRIME_BITS + 1)
+    while n > 1 << _PRIME_BITS:
+        n -= 1
+        if _is_prime(n):
+            yield n
+
+
+def _prime_budget(rows, ncols: int) -> int:
+    """How many primes the kernel may try before it gives up.
+
+    Every minor of the matrix is at most H, the product of the min(rows,
+    cols) largest row norms (Hadamard).  A kernel vector scaled to 1 at its
+    free column has entries n/d with |n|, d <= H, so rational reconstruction
+    recovers it once the primes multiply past 2 H**2.  A prime gives a
+    different rank or free-column set only if it divides one nonzero minor,
+    so at most log H / 29 primes are unlucky.  The budget covers both.
+    """
+    norms = sorted((sum(v * v for _, v in row) for row in rows), reverse=True)
+    hbits = sum((s.bit_length() + 1) // 2 for s in norms[:ncols])
+    return (3 * hbits + 2) // _PRIME_BITS + 2
+
+
+def _kernel_mod(rows, ncols: int, p: int):
+    """Rank, pivot columns and kernel vectors of the matrix modulo p.
+
+    Rows are reduced into a sparse echelon form one at a time.  The set of
+    leading columns of any echelon form depends only on the row space, so
+    it is the greedy pivot-column set whatever order the rows arrive in.
+    The vector for free column f is 1 at f, 0 on the other free columns,
+    and solved by back substitution on the pivots left of f; it is returned
+    as a {column: residue} dict.
+    """
+    echelon: dict[int, dict[int, int]] = {}  # leading column -> row, lead 1
+    for row in rows:
+        if len(echelon) == ncols:
+            break  # full column rank: every further row reduces to zero
+        r = {c: v % p for c, v in row if v % p}
+        while r:
+            lead = min(r)
+            piv = echelon.get(lead)
+            if piv is None:
+                inv = pow(r[lead], -1, p)
+                echelon[lead] = {c: v * inv % p for c, v in r.items()}
+                break
+            f = r[lead]
+            for c, v in piv.items():
+                x = (r.get(c, 0) - f * v) % p
+                if x:
+                    r[c] = x
+                else:
+                    r.pop(c, None)
+    pivots = sorted(echelon)
+    free = [c for c in range(ncols) if c not in echelon]
+    vectors = []
+    for f in free:
+        x = {f: 1}
+        for lead in reversed(pivots[: bisect_left(pivots, f)]):
+            s = sum(v * x[c] for c, v in echelon[lead].items() if c in x)
+            if s % p:
+                x[lead] = -s % p
+        vectors.append(x)
+    return tuple(pivots), free, vectors
+
+
+def _rational(a: int, m: int, bound: int) -> Fraction | None:
+    """The fraction n/d = a (mod m) with |n| <= bound and 0 < d <= bound.
+
+    Half-extended Euclid on (m, a); when 2 bound**2 < m the answer is
+    unique, and None means there is none.
+    """
+    r0, r1, t0, t1 = m, a % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        t0, t1 = t1, t0 - q * t1
+    if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
+        return None
+    return Fraction(r1, t1)
+
+
+def _reconstruct(lifted, ncols: int, modulus: int):
+    """Primitive integer vectors from residue dicts mod `modulus`, or None
+    if some entry has no fraction within the reconstruction bound."""
+    bound = isqrt(modulus // 2)
     basis = []
-    for f in free_cols:
-        x: list[Fraction] = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for i in range(rank - 1, -1, -1):
-            col = pivot_cols[i]
-            row = work[i]
-            s = sum((row[j] * x[j] for j in range(col + 1, ncols) if x[j]), Fraction(0))
-            x[col] = -s / row[col]
-        basis.append(primitive_vector(x))
-    return KernelResult(rank=rank, nullity=len(free_cols), basis=tuple(basis))
+    for acc in lifted:
+        vec: list[int | Fraction] = [0] * ncols
+        for c, x in acc.items():
+            q = _rational(x, modulus, bound)
+            if q is None:
+                return None
+            vec[c] = q
+        basis.append(primitive_vector(vec))
+    return tuple(basis)
+
+
+def _certified(rows, ncols: int, free, vectors) -> bool:
+    """The exact certificate for candidate kernel vectors over the integers.
+
+    Vector i is the candidate for free column free[i]; it must be nonzero
+    there, zero on every other free column and on every column to the right
+    of its own, and annihilated by every row.
+    """
+    free_set = set(free)
+    for f, vec in zip(free, vectors):
+        if not vec[f]:
+            return False
+        if any(vec[c] for c in range(f + 1, ncols)):
+            return False
+        if any(vec[g] for g in free_set if g != f):
+            return False
+        for row in rows:
+            if sum(v * vec[c] for c, v in row):
+                return False
+    return True
+
+
+def integer_kernel(rows, ncols: int) -> KernelResult:
+    """Exact rank and primitive kernel basis of a sparse integer matrix.
+
+    `rows` holds each row as (column, value) pairs.  The basis has one
+    vector per free column (a column that is a combination of the columns
+    to its left), ordered by free column, each primitive with its first
+    nonzero entry positive.
+
+    The kernel is computed modulo word-size primes, joined by CRT and
+    rational reconstruction (Dixon 1982), and returned only with a proof:
+    every vector is annihilated by the matrix over the integers, there are
+    ncols - rank_p of them, and each is nonzero on its own free column and
+    zero on the other free columns and to its right.  Since rank_p <= rank
+    over Q, independent kernel vectors that many prove the nullity, and the
+    shape of each vector proves its column is free over Q as well, so the
+    basis is the one exact elimination over Q gives.  A prime of lower rank,
+    or of the same rank with later pivots, is discarded; a higher rank or
+    earlier pivots restart the lift.  Raises ArithmeticError if the prime
+    budget runs out, which the Hadamard bound rules out.
+    """
+    rows = sorted(rows, key=len)
+    best = None  # (-rank, pivots) of the primes being joined
+    modulus = 1
+    lifted: list[dict[int, int]] = []
+    for p in islice(_primes(), _prime_budget(rows, ncols)):
+        pivots, free, vectors = _kernel_mod(rows, ncols, p)
+        key = (-len(pivots), pivots)
+        if best is not None and key > best:
+            continue
+        if key != best:
+            best, modulus, lifted = key, 1, [{} for _ in free]
+        # CRT: fold the residues mod p into the residues mod `modulus`.
+        step = pow(modulus, -1, p)
+        for acc, vec in zip(lifted, vectors):
+            for c in acc.keys() | vec.keys():
+                x = acc.get(c, 0)
+                acc[c] = x + modulus * ((vec.get(c, 0) - x) * step % p)
+        modulus *= p
+        basis = _reconstruct(lifted, ncols, modulus)
+        if basis is not None and _certified(rows, ncols, free, basis):
+            return KernelResult(rank=len(pivots), nullity=len(free), basis=basis)
+    raise ArithmeticError(f"kernel of a {len(rows)}x{ncols} matrix not certified")
 
 
 def exact_kernel(matrix: OperatorMatrix) -> KernelResult:
@@ -283,11 +442,6 @@ def matrix_to_json_bytes(matrix: OperatorMatrix) -> bytes:
     """Sparse row/col/value dump, entries sorted by row then column."""
     import json
 
-    entries = [
-        [r, c, v]
-        for r, row in enumerate(matrix.rows)
-        for c, v in enumerate(row)
-        if v
-    ]
+    entries = [[r, c, v] for r, row in enumerate(matrix.rows) for c, v in row]
     doc = {"rows": matrix.nrows, "cols": matrix.ncols, "entries": entries}
     return json.dumps(doc, separators=(",", ":")).encode() + b"\n"

@@ -196,12 +196,26 @@ def to_json_bytes(p: IntPolynomial) -> bytes:
     return json.dumps(doc, separators=(",", ":")).encode("ascii") + b"\n"
 
 
+def _term_from_json(term) -> tuple[Exponents, int]:
+    """One {"exps", "coeff"} term, strictly: exponents are JSON integers and
+    the coefficient is a decimal string (as `to_json_bytes` writes it) or a
+    JSON integer.  Floats and booleans are refused rather than coerced."""
+    exps, coeff = term["exps"], term["coeff"]
+    if not all(type(e) is int for e in exps):
+        raise TypeError(f"exponents {exps!r} are not all integers")
+    if isinstance(coeff, str):
+        coeff = int(coeff)
+    elif type(coeff) is not int:
+        raise TypeError(f"coefficient {coeff!r} is not an integer")
+    return tuple(exps), coeff
+
+
 def from_json_bytes(data: bytes | str) -> IntPolynomial:
     """Parse the canonical JSON form (term order in the input is not trusted)."""
     try:
         doc = json.loads(data)
         shape = doc["shape"]
-        terms = [(tuple(t["exps"]), int(t["coeff"])) for t in doc["terms"]]
+        terms = [_term_from_json(t) for t in doc["terms"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed polynomial JSON: {exc}") from exc
     return IntPolynomial(shape, terms)

@@ -160,7 +160,7 @@ def _check_kernel(seed: int) -> str:
     vec = kern.basis[0]
     for row in matrix.rows:
         _require(
-            sum(r * v for r, v in zip(row, vec)) == 0,
+            sum(v * vec[c] for c, v in row) == 0,
             "kernel vector is not annihilated by the matrix",
         )
     return "246x80 matrix, rank 79, nullity 1, kernel vector annihilated"

@@ -6,7 +6,7 @@ import pytest
 
 from hyperdet import reference
 from hyperdet.cli import main
-from hyperdet.polynomials import from_json_bytes
+from hyperdet.polynomials import IntPolynomial, from_json_bytes, to_json_bytes
 
 SHAPE_FLAGS = ["--shape", "2x2x3"]
 
@@ -61,6 +61,30 @@ def test_invariant_empty_cases(capsys):
     code, _, err = run(capsys, "invariant", "--shape", "2x2x2", "--degree", "2")
     assert code == 2
     assert "no invariant" in err
+
+
+def test_invariant_degree_12_is_d_squared(capsys):
+    """The 4772x1323 degree-12 kernel is certified one-dimensional, and its
+    primitive vector is D**2 (primitive by Gauss's lemma, as D is)."""
+    fixture = from_json_bytes(reference.hyperdet_file_bytes())
+    square = {}
+    for e1, c1 in fixture:
+        for e2, c2 in fixture:
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            square[exps] = square.get(exps, 0) + c1 * c2
+    d_squared = IntPolynomial(fixture.shape, square)
+    assert len(d_squared) == 1039
+    code, out, err = run(capsys, "invariant", *SHAPE_FLAGS, "--degree", "12")
+    assert code == 0
+    assert "kernel dimension 1; 1039 terms" in err
+    assert out.encode() == to_json_bytes(d_squared)
+
+
+def test_invariant_trivial_kernel_2x3x3(capsys):
+    code, out, err = run(capsys, "invariant", "--shape", "2x3x3", "--degree", "6")
+    assert code == 2
+    assert out == ""
+    assert "kernel is trivial" in err
 
 
 def test_invariant_cayley(capsys):
@@ -194,6 +218,33 @@ def test_eval_parse_errors(golden_files, tmp_path, capsys):
     assert run(capsys, "eval", "--poly", str(bad), "--array", str(zero))[0] == 4
     missing = tmp_path / "missing.json"
     assert run(capsys, "eval", "--poly", str(poly), "--array", str(missing))[0] == 4
+
+
+@pytest.mark.parametrize(
+    "poly_bytes",
+    [
+        b'{"shape":[2,2,3],"terms":[{"exps":[1,0,0,0,0,0,0,0,0,0,0,0],"coeff":1.5}]}',
+        b'{"shape":[2,2,3],"terms":[{"exps":[2.0,0,0,0,0,0,0,0,0,0,0,0],"coeff":"1"}]}',
+        b'{"shape":[2,2,3],"terms":[{"exps":[true,0,0,0,0,0,0,0,0,0,0,0],"coeff":"1"}]}',
+    ],
+    ids=["float-coeff", "float-exponent", "bool-exponent"],
+)
+def test_eval_rejects_coerced_polynomial(golden_files, tmp_path, capsys, poly_bytes):
+    _, _, afgl = golden_files
+    bad = tmp_path / "bad_poly.json"
+    bad.write_bytes(poly_bytes)
+    code, out, err = run(capsys, "eval", "--poly", str(bad), "--array", str(afgl))
+    assert (code, out) == (4, "")
+    assert "malformed polynomial JSON" in err
+
+
+def test_eval_rejects_non_list_slices(golden_files, tmp_path, capsys):
+    poly, _, _ = golden_files
+    bad = tmp_path / "bad_array.json"
+    bad.write_bytes(b'{"shape":[2,2,3],"slices":5}')
+    code, out, err = run(capsys, "eval", "--poly", str(poly), "--array", str(bad))
+    assert (code, out) == (4, "")
+    assert "malformed array JSON" in err
 
 
 def test_transform_round_trip(golden_files, tmp_path, capsys):

@@ -1,11 +1,13 @@
 """Raising operators, matrix assembly, and the exact integer kernel."""
 
 from fractions import Fraction
+from itertools import islice
+from math import isqrt
 from random import Random
 
 import pytest
 
-from hyperdet import reference
+from hyperdet import operators, reference
 from hyperdet.operators import (
     RaisingOp,
     apply_raising,
@@ -24,6 +26,11 @@ from hyperdet.verify import _rref_kernel
 from hyperdet.weights import weight_of
 
 SHAPE = (2, 2, 3)
+
+
+def sparse(mat):
+    """Dense rows to the (column, value) pairs `integer_kernel` takes."""
+    return [tuple((c, v) for c, v in enumerate(row) if v) for row in mat]
 
 
 def test_raising_ops_order():
@@ -108,7 +115,7 @@ def test_matrix_columns_match_operator_application():
     rng = Random(31)
     for c in rng.sample(range(matrix.ncols), 20):
         mono = matrix.domain.monomials[c]
-        column = [row[c] for row in matrix.rows]
+        column = [dict(row).get(c, 0) for row in matrix.rows]
         expected = [0] * matrix.nrows
         for block in matrix.blocks:
             index = block.codomain.index_map()
@@ -129,18 +136,27 @@ def test_matrix_json_dump():
     entries = doc["entries"]
     assert entries == sorted(entries, key=lambda e: (e[0], e[1]))
     assert all(v != 0 for _, _, v in entries)
-    dense = [[0] * 80 for _ in range(246)]
+    rows = [[] for _ in range(246)]
     for r, c, v in entries:
-        dense[r][c] = v
-    assert [tuple(r) for r in dense] == list(matrix.rows)
+        rows[r].append((c, v))
+    assert [tuple(r) for r in rows] == list(matrix.rows)
+
+
+def test_matrix_rows_sparse_sorted_nonzero():
+    matrix = assemble_matrix(SHAPE, 6)
+    for row in matrix.rows:
+        cols = [c for c, _ in row]
+        assert cols == sorted(set(cols))
+        assert all(0 <= c < matrix.ncols and v for c, v in row)
+    assert sum(len(row) for row in matrix.rows) == 680
 
 
 def test_integer_kernel_small_cases():
-    kern = integer_kernel([[1, 2]], 2)
+    kern = integer_kernel(sparse([[1, 2]]), 2)
     assert (kern.rank, kern.nullity) == (1, 1)
     assert kern.basis == ((2, -1),)
 
-    kern = integer_kernel([[1, 0], [0, 1]], 2)
+    kern = integer_kernel(sparse([[1, 0], [0, 1]]), 2)
     assert (kern.rank, kern.nullity) == (2, 0)
     assert kern.basis == ()
 
@@ -150,27 +166,134 @@ def test_integer_kernel_small_cases():
     assert kern.basis == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
     # dependent rows collapse
-    kern = integer_kernel([[2, 4, 6], [1, 2, 3]], 3)
+    kern = integer_kernel(sparse([[2, 4, 6], [1, 2, 3]]), 3)
     assert (kern.rank, kern.nullity) == (1, 2)
     for vec in kern.basis:
         assert 2 * vec[0] + 4 * vec[1] + 6 * vec[2] == 0
 
 
+def assert_matches_oracle(mat, cols):
+    kern = integer_kernel(sparse(mat), cols)
+    oracle = _rref_kernel(mat, cols)
+    assert kern.nullity == len(oracle)
+    assert kern.rank + kern.nullity == cols
+    assert list(kern.basis) == oracle
+    for vec in kern.basis:
+        for row in mat:
+            assert sum(r * v for r, v in zip(row, vec)) == 0
+
+
 def test_integer_kernel_random_matches_rational_oracle():
-    """Bareiss kernel and a plain Fraction RREF agree on random matrices."""
+    """Modular kernel and a plain Fraction RREF agree on random matrices."""
     rng = Random(37)
     for _ in range(40):
         rows = rng.randint(0, 6)
         cols = rng.randint(1, 6)
         mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
-        kern = integer_kernel(mat, cols)
-        oracle = _rref_kernel(mat, cols)
-        assert kern.nullity == len(oracle)
-        assert kern.rank + kern.nullity == cols
-        assert sorted(kern.basis) == sorted(oracle)
-        for vec in kern.basis:
-            for row in mat:
-                assert sum(r * v for r, v in zip(row, vec)) == 0
+        assert_matches_oracle(mat, cols)
+
+
+def test_integer_kernel_random_sparse_large_entries():
+    """Entries up to 10**6 give kernel entries far past one prime's
+    reconstruction bound; dependent rows are mixed in so the rank drops."""
+    rng = Random(41)
+    for _ in range(30):
+        cols = rng.randint(1, 8)
+        mat = [
+            [rng.randint(-10**6, 10**6) if rng.random() < 0.4 else 0 for _ in range(cols)]
+            for _ in range(rng.randint(0, 8))
+        ]
+        if len(mat) >= 2 and rng.random() < 0.5:
+            a, b = rng.sample(mat, 2)
+            mat.append([3 * x - 7 * y for x, y in zip(a, b)])
+        assert_matches_oracle(mat, cols)
+
+
+def test_primes_are_a_fixed_descending_sequence():
+    first = list(islice(operators._primes(), 20))
+    assert first == sorted(set(first), reverse=True)
+    assert all(2**29 < p < 2**30 for p in first)
+    for p in first:
+        assert p % 2 and all(p % q for q in range(3, isqrt(p) + 1, 2))
+    assert first == list(islice(operators._primes(), 20))
+
+
+def counted_primes(monkeypatch):
+    """Patch the prime sequence to record every prime the kernel draws."""
+    drawn = []
+    real = operators._primes
+
+    def recording():
+        for p in real():
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(operators, "_primes", recording)
+    return drawn
+
+
+def test_integer_kernel_rank_drop_mod_first_prime(monkeypatch):
+    """Every entry is a multiple of the first prime: modulo it the matrix is
+    zero, its all-free candidates fail the certificate, and the next prime's
+    higher rank restarts the lift."""
+    p = next(operators._primes())
+    drawn = counted_primes(monkeypatch)
+    for mat in ([[p, 2 * p], [3 * p, 5 * p]], [[p, 2 * p, 3 * p]], [[2 * p, 0, -p], [0, p, p]]):
+        drawn.clear()
+        assert_matches_oracle(mat, len(mat[0]))
+        assert len(drawn) == 2
+
+
+def test_integer_kernel_needs_crt_over_two_primes(monkeypatch):
+    """Kernel entry 10**6 is past one prime's bound (about 23170), so the
+    lift joins two primes."""
+    drawn = counted_primes(monkeypatch)
+    assert_matches_oracle([[1, 10**6]], 2)
+    assert len(drawn) == 2
+    assert integer_kernel([((0, 1), (1, 10**6))], 2).basis == ((10**6, -1),)
+
+
+SECOND_PRIME = 1073741783
+
+
+@pytest.mark.parametrize(
+    "mat, draws",
+    [
+        # modulo the second prime row 2 vanishes and the rank drops; the
+        # third prime joins the first, and 10**6 fits their bound
+        ([[1, 0, 10**6], [0, SECOND_PRIME, 5 * SECOND_PRIME]], 3),
+        # modulo the second prime the pivot moves from column 1 to 2; the
+        # kernel entry 1/SECOND_PRIME then needs three lucky primes
+        ([[1, 0, 0], [0, SECOND_PRIME, 1]], 4),
+    ],
+)
+def test_integer_kernel_discards_unlucky_second_prime(monkeypatch, mat, draws):
+    """A prime of lower rank, or of equal rank with later pivots, is dropped
+    without discarding the residues already lifted."""
+    assert list(islice(operators._primes(), 2))[1] == SECOND_PRIME
+    drawn = counted_primes(monkeypatch)
+    assert_matches_oracle(mat, 3)
+    assert len(drawn) == draws
+
+
+def test_certificate_rejects_each_violation():
+    """Row x0 = x1 leaves columns 1 and 2 free over Q."""
+    rows = [((0, 1), (1, -1))]
+    assert operators._certified(rows, 3, [1, 2], [(1, 1, 0), (0, 0, 1)])
+    # annihilated, but nonzero on free column 2, right of its own column 1
+    assert not operators._certified(rows, 3, [1, 2], [(1, 1, 1), (0, 0, 1)])
+    # zero on its own free column
+    assert not operators._certified(rows, 3, [1, 2], [(0, 0, 0), (0, 0, 1)])
+    # not annihilated
+    assert not operators._certified(rows, 3, [1, 2], [(1, 2, 0), (0, 0, 1)])
+
+
+def test_integer_kernel_gives_up_without_proof(monkeypatch):
+    """With the budget cut to one prime, a matrix that needs two raises
+    instead of returning an unproven kernel."""
+    monkeypatch.setattr(operators, "_prime_budget", lambda rows, ncols: 1)
+    with pytest.raises(ArithmeticError):
+        integer_kernel([((0, 1), (1, 10**6))], 2)
 
 
 def test_primitive_vector():
