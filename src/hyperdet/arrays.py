@@ -11,7 +11,7 @@ written on paper:
 
     {"shape":[2,2,3],"slices":[[[x111,x121],[x211,x221]], ...]}
 
-with entries as integers or "p/q" strings.
+with entries as integers or ASCII "p" or "p/q" strings (q >= 1).
 """
 
 from __future__ import annotations
@@ -21,7 +21,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
-from .polynomials import IntPolynomial, Shape, cell_count, check_shape, flat_index
+from .polynomials import (
+    IntPolynomial,
+    Shape,
+    cell_count,
+    check_int,
+    check_shape,
+    flat_index,
+    malformed,
+    parse_int,
+)
 from .weights import mode_slice_sums
 
 
@@ -30,13 +39,25 @@ class ShapeMismatchError(ValueError):
 
 
 def _exact(value) -> Fraction:
-    """Coerce an entry to an exact rational; floats are refused."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"entry {value!r} is not an exact rational")
+    """An entry as an exact rational: a Fraction, an int, or a "p" or "p/q"
+    string of text integers with q >= 1.  Bools, floats and any other text
+    are refused."""
+    if isinstance(value, Fraction):
+        return value
+    if not isinstance(value, str):
+        return Fraction(check_int(value))
+    num, slash, den = value.partition("/")
     try:
-        return Fraction(value)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise ValueError(f"entry {value!r} is not an exact rational") from exc
+        q = parse_int(den) if slash else 1
+        if q >= 1:
+            return Fraction(parse_int(num), q)
+    except ValueError:
+        pass
+    raise ValueError(f"entry {value!r} is not an exact rational")
+
+
+def _nested(value, size: int) -> bool:
+    return isinstance(value, (list, tuple)) and len(value) == size
 
 
 @dataclass(frozen=True)
@@ -66,14 +87,13 @@ class HyperArray:
         """Build from nested lists: slices[k-1][i-1][j-1]."""
         shape = check_shape(shape)
         a, b, c = shape
-        if len(slices) != c or any(
-            len(sl) != a or any(len(row) != b for row in sl) for sl in slices
+        if not _nested(slices, c) or not all(
+            _nested(sl, a) and all(_nested(row, b) for row in sl) for sl in slices
         ):
             raise ValueError(f"slice nesting does not match shape {shape}")
-        flat = [
-            slices[k][i][j] for k in range(c) for i in range(a) for j in range(b)
-        ]
-        return cls(shape, tuple(_exact(v) for v in flat))
+        return cls(
+            shape, tuple(slices[k][i][j] for k in range(c) for i in range(a) for j in range(b))
+        )
 
     @classmethod
     def random_int(cls, shape, rng: Random, lo: int = -5, hi: int = 5) -> HyperArray:
@@ -115,10 +135,10 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 
 
 def _check_square(matrix) -> Matrix:
-    rows = tuple(tuple(_exact(v) for v in row) for row in matrix)
-    if not rows or any(len(row) != len(rows) for row in rows):
+    size = len(matrix) if isinstance(matrix, (list, tuple)) else 0
+    if not size or not all(_nested(row, size) for row in matrix):
         raise ValueError("matrix must be square and non-empty")
-    return rows
+    return tuple(tuple(_exact(v) for v in row) for row in matrix)
 
 
 @dataclass(frozen=True)
@@ -284,16 +304,9 @@ def array_to_json_bytes(arr: HyperArray) -> bytes:
 
 
 def array_from_json_bytes(data: bytes | str) -> HyperArray:
-    try:
+    with malformed("array"):
         doc = json.loads(data)
-        shape = doc["shape"]
-        slices = doc["slices"]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed array JSON: {exc}") from exc
-    try:
-        return HyperArray.from_slices(shape, slices)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"malformed array JSON: {exc}") from exc
+        return HyperArray.from_slices(doc["shape"], doc["slices"])
 
 
 def mode_matrix_to_json_bytes(matrix: Matrix) -> bytes:
@@ -302,14 +315,5 @@ def mode_matrix_to_json_bytes(matrix: Matrix) -> bytes:
 
 
 def mode_matrix_from_json_bytes(data: bytes | str) -> Matrix:
-    try:
-        doc = json.loads(data)
-        rows = doc["matrix"]
-        if not isinstance(rows, list):
-            raise TypeError("matrix must be a list of rows")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    try:
-        return _check_square(rows)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from exc
+    with malformed("matrix"):
+        return _check_square(json.loads(data)["matrix"])

@@ -30,12 +30,14 @@ from .dimensions import (
     table_column,
     verify_table,
 )
-from .operators import assemble_matrix, exact_kernel
+from .operators import assemble_matrix, exact_kernel, kernel_polynomials
 from .orbits import signed_orbit
 from .polynomials import (
     IntPolynomial,
+    check_shape,
     exps_from_digits,
     from_json_bytes,
+    parse_int,
     to_json_bytes,
     to_letter_text,
 )
@@ -43,41 +45,39 @@ from .verify import run_checks
 from .weights import check_weight, count_dim, zero_weight
 
 
-class CommandError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
+def _flag(what: str, parse):
+    """An argparse type that parses flag text and names the text in a usage error."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}: {exc}") from exc
+
+    return convert
 
 
-def _parse_shape(text: str) -> tuple[int, int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 3 or not all(p.isdigit() and int(p) >= 1 for p in parts):
-        raise CommandError(4, f"bad shape {text!r}; expected AxBxC, e.g. 2x2x3")
-    return tuple(int(p) for p in parts)
+def _shape(text: str) -> tuple[int, int, int]:
+    """AxBxC, e.g. 2x2x3."""
+    return check_shape(parse_int(p) for p in text.lower().split("x"))
 
 
-def _parse_weight(text: str, shape) -> tuple[int, ...]:
-    try:
-        weight = tuple(int(p) for p in text.split(","))
-        return check_weight(shape, weight)
-    except ValueError as exc:
-        raise CommandError(4, f"bad weight {text!r}: {exc}") from exc
+def _weight(text: str) -> tuple[int, ...]:
+    """Comma-separated components; their number is checked against the shape."""
+    return tuple(parse_int(p) for p in text.split(","))
 
 
-def _parse_degrees(text: str) -> list[int]:
-    parts = text.split(":")
-    try:
-        if len(parts) == 1:
-            return [int(parts[0])]
-        if len(parts) != 3:
-            raise ValueError("expected START:END:STEP")
-        start, end, step = (int(p) for p in parts)
-        if step <= 0 or start < 0:
-            raise ValueError("need START >= 0 and STEP > 0")
-        return list(range(start, end + 1, step))
-    except ValueError as exc:
-        raise CommandError(4, f"bad degree range {text!r}: {exc}") from exc
+def _degrees(text: str) -> list[int]:
+    """N, or START:END:STEP with START >= 0 and STEP > 0."""
+    parts = [parse_int(p) for p in text.split(":")]
+    if len(parts) == 1:
+        return parts
+    if len(parts) != 3:
+        raise ValueError("expected START:END:STEP")
+    start, end, step = parts
+    if step <= 0 or start < 0:
+        raise ValueError("need START >= 0 and STEP > 0")
+    return list(range(start, end + 1, step))
 
 
 def _read_file(path: str) -> bytes:
@@ -85,7 +85,7 @@ def _read_file(path: str) -> bytes:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise CommandError(4, f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _emit(data: bytes, out_path: str | None) -> None:
@@ -94,7 +94,7 @@ def _emit(data: bytes, out_path: str | None) -> None:
             with open(out_path, "wb") as fh:
                 fh.write(data)
         except OSError as exc:
-            raise CommandError(4, f"cannot write {out_path}: {exc}") from exc
+            raise ValueError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.buffer.write(data)
         sys.stdout.buffer.flush()
@@ -103,16 +103,10 @@ def _emit(data: bytes, out_path: str | None) -> None:
 def _render_polys(polys: list[IntPolynomial], fmt: str) -> bytes:
     if fmt == "json":
         return b"".join(to_json_bytes(p) for p in polys)
-    try:
-        texts = [to_letter_text(p) for p in polys]
-    except ValueError as exc:
-        raise CommandError(4, str(exc)) from exc
-    return "\n".join(texts).encode("ascii")
+    return "\n".join(to_letter_text(p) for p in polys).encode("ascii")
 
 
 def run_invariant(shape, degree: int, out_path: str | None, fmt: str) -> int:
-    if degree < 0:
-        raise CommandError(4, f"degree must be >= 0, got {degree}")
     matrix = assemble_matrix(shape, degree)
     if matrix.ncols == 0:
         print(
@@ -125,10 +119,7 @@ def run_invariant(shape, degree: int, out_path: str | None, fmt: str) -> int:
     if kernel.nullity == 0:
         print(f"no invariant of degree {degree} (kernel is trivial)", file=sys.stderr)
         return 2
-    polys = [
-        IntPolynomial(shape, [(m, c) for m, c in zip(matrix.domain.monomials, vec) if c])
-        for vec in kernel.basis
-    ]
+    polys = kernel_polynomials(matrix, kernel)
     _emit(_render_polys(polys, fmt), out_path)
     print(
         f"kernel dimension {kernel.nullity}; "
@@ -152,10 +143,7 @@ def run_dims(shape, weight, degrees: list[int], verify_conjecture: bool) -> int:
 
 
 def _run_dims_conjecture(shape) -> int:
-    try:
-        report = verify_table(shape)
-    except ValueError as exc:
-        raise CommandError(4, str(exc)) from exc
+    report = verify_table(shape)
     entries = [
         {
             "n": e.n,
@@ -196,8 +184,6 @@ def _run_dims_conjecture(shape) -> int:
 
 
 def run_orbit(seed: str, fmt: str, out_path: str | None = None) -> int:
-    if len(seed) != 12 or not seed.isdigit():
-        raise CommandError(4, f"seed must be a 12-digit exponent string, got {seed!r}")
     poly = signed_orbit(exps_from_digits(seed))
     if poly.is_zero:
         print("signed orbit cancels to zero", file=sys.stderr)
@@ -207,24 +193,16 @@ def run_orbit(seed: str, fmt: str, out_path: str | None = None) -> int:
 
 
 def run_eval(poly_path: str, array_path: str) -> int:
-    try:
-        poly = from_json_bytes(_read_file(poly_path))
-        arr = array_from_json_bytes(_read_file(array_path))
-    except ValueError as exc:
-        raise CommandError(4, str(exc)) from exc
+    poly = from_json_bytes(_read_file(poly_path))
+    arr = array_from_json_bytes(_read_file(array_path))
     value = evaluate(poly, arr)
     _emit(f"{value}\n".encode("ascii"), None)
     return 0
 
 
 def run_transform(array_path: str, mode: int, matrix_path: str) -> int:
-    if mode not in (1, 2, 3):
-        raise CommandError(4, f"mode must be 1, 2 or 3, got {mode}")
-    try:
-        arr = array_from_json_bytes(_read_file(array_path))
-        matrix = mode_matrix_from_json_bytes(_read_file(matrix_path))
-    except ValueError as exc:
-        raise CommandError(4, str(exc)) from exc
+    arr = array_from_json_bytes(_read_file(array_path))
+    matrix = mode_matrix_from_json_bytes(_read_file(matrix_path))
     moved = mode_transform(arr, ModeMatrix(mode, matrix))
     _emit(array_to_json_bytes(moved), None)
     return 0
@@ -253,15 +231,15 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariant", help="derive the invariant of a shape and degree")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--degree", required=True, type=int)
+    p.add_argument("--shape", required=True, type=_flag("shape", _shape))
+    p.add_argument("--degree", required=True, type=_flag("degree", parse_int))
     p.add_argument("--out")
     p.add_argument("--format", choices=("json", "text"), default="json")
 
     p = sub.add_parser("dims", help="weight-space dimensions")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--weight")
-    p.add_argument("--degrees", default="0:96:6")
+    p.add_argument("--shape", required=True, type=_flag("shape", _shape))
+    p.add_argument("--weight", type=_flag("weight", _weight))
+    p.add_argument("--degrees", default="0:96:6", type=_flag("degree range", _degrees))
     p.add_argument("--verify-conjecture", action="store_true")
 
     p = sub.add_parser("orbit", help="signed orbit of a monomial")
@@ -275,12 +253,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("transform", help="apply a mode matrix to an array")
     p.add_argument("--array", required=True)
-    p.add_argument("--mode", required=True, type=int)
+    p.add_argument("--mode", required=True, type=_flag("mode", parse_int))
     p.add_argument("--matrix", required=True)
 
     p = sub.add_parser("verify-paper", help="run the verification battery")
     p.add_argument("--only")
-    p.add_argument("--seed", type=int, default=1729)
+    p.add_argument("--seed", type=_flag("seed", parse_int), default=1729)
 
     return parser
 
@@ -295,18 +273,11 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "invariant":
-            shape = _parse_shape(args.shape)
-            return run_invariant(shape, args.degree, args.out, args.format)
+            return run_invariant(args.shape, args.degree, args.out, args.format)
         if args.command == "dims":
-            shape = _parse_shape(args.shape)
-            weight = (
-                _parse_weight(args.weight, shape)
-                if args.weight
-                else zero_weight(shape)
-            )
-            return run_dims(
-                shape, weight, _parse_degrees(args.degrees), args.verify_conjecture
-            )
+            weight = zero_weight(args.shape) if args.weight is None else args.weight
+            weight = check_weight(args.shape, weight)
+            return run_dims(args.shape, weight, args.degrees, args.verify_conjecture)
         if args.command == "orbit":
             return run_orbit(args.seed, args.format, args.out)
         if args.command == "eval":
@@ -315,10 +286,7 @@ def main(argv=None) -> int:
             return run_transform(args.array, args.mode, args.matrix)
         if args.command == "verify-paper":
             return run_verify_paper(args.only, args.seed)
-        raise CommandError(4, f"unknown command {args.command!r}")
-    except CommandError as exc:
-        print(exc.message, file=sys.stderr)
-        return exc.code
+        raise ValueError(f"unknown command {args.command!r}")
     except ShapeMismatchError as exc:
         print(str(exc), file=sys.stderr)
         return 3

@@ -413,6 +413,15 @@ def exact_kernel(matrix: OperatorMatrix) -> KernelResult:
     return integer_kernel(matrix.rows, matrix.ncols)
 
 
+def kernel_polynomials(matrix: OperatorMatrix, kernel: KernelResult) -> list[IntPolynomial]:
+    """Each kernel basis vector as a polynomial over the domain monomials."""
+    monos = matrix.domain.monomials
+    return [
+        IntPolynomial(matrix.shape, [(m, c) for m, c in zip(monos, vec) if c])
+        for vec in kernel.basis
+    ]
+
+
 def find_invariant(shape, n: int) -> IntPolynomial | None:
     """The degree-n invariant if the joint kernel is one-dimensional.
 
@@ -420,8 +429,6 @@ def find_invariant(shape, n: int) -> IntPolynomial | None:
     two or more, since then no single polynomial is canonical.
     """
     matrix = assemble_matrix(shape, n)
-    if not len(matrix.domain):
-        return None
     kern = exact_kernel(matrix)
     if kern.nullity == 0:
         return None
@@ -429,13 +436,8 @@ def find_invariant(shape, n: int) -> IntPolynomial | None:
         raise ValueError(
             f"kernel has dimension {kern.nullity}; use exact_kernel for the full basis"
         )
-    vec = kern.basis[0]
-    terms = [
-        (mono, coeff)
-        for mono, coeff in zip(matrix.domain.monomials, vec)
-        if coeff
-    ]
-    return IntPolynomial(matrix.shape, terms)
+    (poly,) = kernel_polynomials(matrix, kern)
+    return poly
 
 
 def matrix_to_json_bytes(matrix: OperatorMatrix) -> bytes:

@@ -20,6 +20,7 @@ from itertools import permutations
 from .polynomials import (
     Exponents,
     IntPolynomial,
+    cell_count,
     check_shape,
     exps_from_digits,
     flat_index,
@@ -93,6 +94,8 @@ def signed_orbit(seed, shape=(2, 2, 3)) -> IntPolynomial:
     """
     shape = check_shape(shape)
     seed = tuple(seed)
+    if len(seed) != cell_count(shape):
+        raise ValueError(f"seed {seed} needs {cell_count(shape)} exponents for shape {shape}")
     terms = [(act(g, seed), g.sign) for g in group_elements(shape)]
     return IntPolynomial(shape, terms)
 

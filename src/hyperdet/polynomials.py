@@ -24,12 +24,18 @@ Two serializations are provided:
 * letter text, writing the variables as consecutive lowercase letters in
   flat order (a..l for shape (2, 2, 3)), one term per line, e.g.
   "+ a^2 f g l^2".  Available for any shape with at most 26 cells.
+
+Every value read from outside (JSON, letter text, digit strings, command
+line flags) passes one of two integer rules defined here: `parse_int` for
+text and `check_int` for JSON or API values.  Nothing is coerced.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import string
+from contextlib import contextmanager
 from typing import Iterable, Iterator, Mapping
 
 Exponents = tuple[int, ...]
@@ -38,10 +44,35 @@ Shape = tuple[int, int, int]
 #: Letter names of the twelve variables of a (2, 2, 3) array, in flat order.
 LETTERS = "abcdefghijkl"
 
+_TEXT_INT = re.compile(r"-?[0-9]+")
+
+
+def parse_int(text: str) -> int:
+    """A text integer: ASCII `-?[0-9]+` only; '+', spaces, '_' and non-ASCII digits are refused."""
+    if not _TEXT_INT.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
+def check_int(value) -> int:
+    """A JSON or API integer: exactly an int; bools, floats and strings are refused."""
+    if type(value) is not int:
+        raise ValueError(f"not an integer: {value!r}")
+    return value
+
+
+@contextmanager
+def malformed(what: str):
+    """Report any failure to read a JSON document as 'malformed <what> JSON'."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed {what} JSON: {exc}") from exc
+
 
 def check_shape(dims) -> Shape:
-    """Validate a mode-size tuple: exactly three modes, each of size >= 1."""
-    dims = tuple(int(d) for d in dims)
+    """Validate a mode-size tuple: exactly three integer modes, each >= 1."""
+    dims = tuple(check_int(d) for d in dims)
     if len(dims) != 3:
         raise ValueError(f"expected 3 modes, got {dims!r}")
     if any(d < 1 for d in dims):
@@ -70,10 +101,10 @@ def cells(shape: Shape) -> Iterator[tuple[int, int, int]]:
 
 
 def exps_from_digits(digits: str) -> Exponents:
-    """Parse a monomial written as a digit string, e.g. '200001100002'."""
-    if not digits.isdigit():
+    """Parse a monomial written as ASCII digits, one exponent each, e.g. '200001100002'."""
+    if not digits or not all(_TEXT_INT.fullmatch(ch) for ch in digits):
         raise ValueError(f"not a digit string: {digits!r}")
-    return tuple(int(ch) for ch in digits)
+    return tuple(parse_int(ch) for ch in digits)
 
 
 def exps_to_digits(exps: Exponents) -> str:
@@ -96,9 +127,9 @@ class IntPolynomial:
             exps = tuple(exps)
             if len(exps) != n_cells:
                 raise ValueError(f"monomial has {len(exps)} exponents, shape {shape} needs {n_cells}")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
-            coeff = int(coeff)
+            if not all(type(e) is int and e >= 0 for e in exps):
+                raise ValueError(f"exponents {exps} are not all integers >= 0")
+            coeff = check_int(coeff)
             if coeff:
                 s = collected.get(exps, 0) + coeff
                 if s:
@@ -197,28 +228,16 @@ def to_json_bytes(p: IntPolynomial) -> bytes:
 
 
 def _term_from_json(term) -> tuple[Exponents, int]:
-    """One {"exps", "coeff"} term, strictly: exponents are JSON integers and
-    the coefficient is a decimal string (as `to_json_bytes` writes it) or a
-    JSON integer.  Floats and booleans are refused rather than coerced."""
-    exps, coeff = term["exps"], term["coeff"]
-    if not all(type(e) is int for e in exps):
-        raise TypeError(f"exponents {exps!r} are not all integers")
-    if isinstance(coeff, str):
-        coeff = int(coeff)
-    elif type(coeff) is not int:
-        raise TypeError(f"coefficient {coeff!r} is not an integer")
-    return tuple(exps), coeff
+    """One term: a string coefficient is a text integer; the constructor checks the rest."""
+    coeff = term["coeff"]
+    return term["exps"], parse_int(coeff) if isinstance(coeff, str) else coeff
 
 
 def from_json_bytes(data: bytes | str) -> IntPolynomial:
     """Parse the canonical JSON form (term order in the input is not trusted)."""
-    try:
+    with malformed("polynomial"):
         doc = json.loads(data)
-        shape = doc["shape"]
-        terms = [_term_from_json(t) for t in doc["terms"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed polynomial JSON: {exc}") from exc
-    return IntPolynomial(shape, terms)
+        return IntPolynomial(doc["shape"], [_term_from_json(t) for t in doc["terms"]])
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +277,12 @@ def from_letter_text(text: str, shape=(2, 2, 3)) -> IntPolynomial:
     """Parse letter text back into a polynomial of the given shape.
 
     Whitespace and line breaks are insignificant; every term must start with
-    an explicit sign.  "0" parses to the zero polynomial.
+    an explicit sign.  A magnitude or power is a text integer >= 1, and a
+    variable token is one letter of the shape, optionally with '^' and a
+    power.  "0" parses to the zero polynomial.
     """
     shape = check_shape(shape)
-    letters = letters_for(shape)
+    index = {letter: pos for pos, letter in enumerate(letters_for(shape))}
     tokens = text.split()
     if tokens == ["0"]:
         return IntPolynomial.zero(shape)
@@ -274,20 +295,26 @@ def from_letter_text(text: str, shape=(2, 2, 3)) -> IntPolynomial:
         sign = 1 if sign_tok == "+" else -1
         pos += 1
         magnitude = 1
-        if pos < len(tokens) and tokens[pos].isdigit():
-            magnitude = int(tokens[pos])
+        if pos < len(tokens) and _TEXT_INT.fullmatch(tokens[pos]):
+            magnitude = _positive(tokens[pos], "magnitude")
             pos += 1
-        exps = [0] * len(letters)
-        saw_letter = False
+        exps = [0] * len(index)
         while pos < len(tokens) and tokens[pos] not in ("+", "-"):
             tok = tokens[pos]
-            letter, _, power = tok.partition("^")
-            if letter not in letters or (power and not power.isdigit()):
+            letter, caret, power = tok.partition("^")
+            if letter not in index:
                 raise ValueError(f"bad variable token {tok!r}")
-            exps[letters.index(letter)] += int(power) if power else 1
-            saw_letter = True
+            exps[index[letter]] += _positive(power, f"power in {tok!r}") if caret else 1
             pos += 1
-        if not saw_letter:
+        if not any(exps):
             raise ValueError("term with no variables")
         terms.append((tuple(exps), sign * magnitude))
     return IntPolynomial(shape, terms)
+
+
+def _positive(text: str, what: str) -> int:
+    """A magnitude or a power in letter text: a text integer >= 1."""
+    value = parse_int(text) if _TEXT_INT.fullmatch(text) else 0
+    if value < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {text!r}")
+    return value

@@ -51,6 +51,7 @@ from .operators import (
     apply_raising,
     assemble_matrix,
     exact_kernel,
+    kernel_polynomials,
     primitive_vector,
     raising_ops,
 )
@@ -182,10 +183,7 @@ def _check_coefficients(seed: int) -> str:
         set(nonzero) <= {1, -1, 2, -2},
         f"coefficients outside {{+-1, +-2}}: {sorted(set(nonzero))}",
     )
-    poly = IntPolynomial(
-        (2, 2, 3),
-        [(m, c) for m, c in zip(matrix.domain.monomials, vec) if c],
-    )
+    (poly,) = kernel_polynomials(matrix, kern)
     _require(
         to_json_bytes(poly) == reference.hyperdet_file_bytes(),
         "kernel polynomial differs from the golden JSON fixture",
@@ -382,9 +380,7 @@ def _check_cayley(seed: int) -> str:
     kern = exact_kernel(matrix)
     _require(kern.nullity == 1, f"2x2x2 degree-4 nullity {kern.nullity} != 1")
     vec = kern.basis[0]
-    poly = IntPolynomial(
-        shape, [(m, c) for m, c in zip(matrix.domain.monomials, vec) if c]
-    )
+    (poly,) = kernel_polynomials(matrix, kern)
     monos, oracle_basis = oracle_invariants(shape, 4)
     _require(
         tuple(monos) == matrix.domain.monomials,

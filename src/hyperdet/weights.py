@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polynomials import Exponents, Shape, check_shape
+from .polynomials import Exponents, Shape, check_int, check_shape
 
 Weight = tuple[int, ...]
 
@@ -36,7 +36,7 @@ def zero_weight(shape: Shape) -> Weight:
 
 
 def check_weight(shape: Shape, weight) -> Weight:
-    weight = tuple(int(w) for w in weight)
+    weight = tuple(check_int(w) for w in weight)
     if len(weight) != weight_length(shape):
         raise ValueError(
             f"weight needs {weight_length(shape)} components for shape {shape}, got {weight}"
@@ -91,7 +91,7 @@ def slice_sums_for(shape, n: int, weight) -> tuple[tuple[int, ...], ...] | None:
     shape = check_shape(shape)
     weight = check_weight(shape, weight)
     if n < 0:
-        raise ValueError("degree must be >= 0")
+        raise ValueError(f"degree must be >= 0, got {n}")
     out = []
     for (off, cnt), d in zip(_mode_component_slices(shape), shape):
         comps = weight[off : off + cnt]

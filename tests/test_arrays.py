@@ -133,6 +133,18 @@ def test_array_json_round_trip():
         b'{"shape":[2,2,3],"slices":[[[0.5,0],[0,0]],[[0,0],[0,0]],[[0,0],[0,0]]]}',
         b'{"shape":[2,2,3],"slices":[[[true,0],[0,0]],[[0,0],[0,0]],[[0,0],[0,0]]]}',
         b'{"shape":[2,2,3],"slices":[[["1/0",0],[0,0]],[[0,0],[0,0]],[[0,0],[0,0]]]}',
+        '{"shape":[2,2,3],"slices":[[["\u0663/\u0664",0],[0,0]],[[0,0],[0,0]],[[0,0],[0,0]]]}'.encode(),
+        b'{"shape":[2,2,3],"slices":[[["1_0",0],[0,0]],[[0,0],[0,0]],[[0,0],[0,0]]]}',
+        b'{"shape":[2,2,3],"slices":[[[" 1/2 ",0],[0,0]],[[0,0],[0,0]],[[0,0],[0,0]]]}',
+        b'{"shape":[2,2,3],"slices":[[["1/-2",0],[0,0]],[[0,0],[0,0]],[[0,0],[0,0]]]}',
+        b'{"shape":[2,2,3],"slices":[[["+1",0],[0,0]],[[0,0],[0,0]],[[0,0],[0,0]]]}',
+        b'{"shape":[2,2,3],"slices":[[[1.0,0],[0,0]],[[0,0],[0,0]],[[0,0],[0,0]]]}',
+        b'{"shape":[true,2,3],"slices":[[[0,0],[0,0]],[[0,0],[0,0]],[[0,0],[0,0]]]}',
+        b'{"shape":["2",2,3],"slices":[[[0,0],[0,0]],[[0,0],[0,0]],[[0,0],[0,0]]]}',
+        b'{"shape":[2.0,2,3],"slices":[[[0,0],[0,0]],[[0,0],[0,0]],[[0,0],[0,0]]]}',
+        b'{"shape":[1,1,3],"slices":"123"}',
+        b'{"shape":[1,1,3],"slices":["1","2","3"]}',
+        b'{"shape":[2,1,1],"slices":[{"a":1,"b":2}]}',
     ],
 )
 def test_array_json_malformed(bad):
@@ -289,3 +301,18 @@ def test_mode_matrix_json():
         mode_matrix_from_json_bytes(b'{"matrix":[[1,2]]}')
     with pytest.raises(ValueError):
         mode_matrix_from_json_bytes(b'{"rows":[[1]]}')
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        b'{"matrix":["10","01"]}',
+        b'{"matrix":{"1":[1]}}',
+        b'{"matrix":[[1,0.5],[0,1]]}',
+        b'{"matrix":[[1,"1/0"],[0,1]]}',
+        b'{"matrix":5}',
+    ],
+)
+def test_mode_matrix_json_malformed(bad):
+    with pytest.raises(ValueError, match="malformed matrix JSON"):
+        mode_matrix_from_json_bytes(bad)

@@ -168,6 +168,33 @@ def test_orbit_bad_seed(capsys):
     assert run(capsys, "orbit", "--seed", "10011001011x")[0] == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", *SHAPE_FLAGS, "--degree", "\u0666"],
+        ["invariant", *SHAPE_FLAGS, "--degree", "1_2"],
+        ["invariant", *SHAPE_FLAGS, "--degree", " 6"],
+        ["invariant", *SHAPE_FLAGS, "--degree", "+6"],
+        ["invariant", "--shape", "\uff12x2x3", "--degree", "6"],
+        ["invariant", "--shape", "2x2x3 ", "--degree", "6"],
+        ["orbit", "--seed", "\u0662\u0660\u0660\u0660\u0660\u0661\u0661\u0660\u0660\u0660\u0660\u0662"],
+        ["orbit", "--seed", "2000011000_2"],
+        ["dims", *SHAPE_FLAGS, "--degrees", "6:\u0666:6"],
+        ["dims", *SHAPE_FLAGS, "--degrees", "6_0"],
+        ["dims", *SHAPE_FLAGS, "--weight", "2,0,0,\u0660"],
+        ["verify-paper", "--seed", "\uff11"],
+    ],
+    ids=[
+        "degree-arabic", "degree-underscore", "degree-space", "degree-plus", "shape-fullwidth",
+        "shape-space", "seed-arabic", "seed-underscore", "degrees-arabic", "degrees-underscore",
+        "weight-arabic", "verify-seed-fullwidth",
+    ],
+)
+def test_integer_flags_accept_ascii_digits_only(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert (code, out) == (4, "")
+
+
 @pytest.fixture
 def golden_files(tmp_path):
     poly = tmp_path / "D.json"
@@ -226,8 +253,15 @@ def test_eval_parse_errors(golden_files, tmp_path, capsys):
         b'{"shape":[2,2,3],"terms":[{"exps":[1,0,0,0,0,0,0,0,0,0,0,0],"coeff":1.5}]}',
         b'{"shape":[2,2,3],"terms":[{"exps":[2.0,0,0,0,0,0,0,0,0,0,0,0],"coeff":"1"}]}',
         b'{"shape":[2,2,3],"terms":[{"exps":[true,0,0,0,0,0,0,0,0,0,0,0],"coeff":"1"}]}',
+        b'{"shape":[2.7,2,3],"terms":[{"exps":[1,0,0,0,0,1,1,0,0,0,0,1],"coeff":"1"}]}',
+        b'{"shape":[true,2,3],"terms":[{"exps":[1,0,0,0,0,1,1,0,0,0,0,1],"coeff":"1"}]}',
+        b'{"shape":["2",2,3],"terms":[{"exps":[1,0,0,0,0,1,1,0,0,0,0,1],"coeff":"1"}]}',
+        '{"shape":[2,2,3],"terms":[{"exps":[1,0,0,0,0,1,1,0,0,0,0,1],"coeff":"\u0661"}]}'.encode(),
     ],
-    ids=["float-coeff", "float-exponent", "bool-exponent"],
+    ids=[
+        "float-coeff", "float-exponent", "bool-exponent",
+        "float-shape", "bool-shape", "str-shape", "arabic-coeff",
+    ],
 )
 def test_eval_rejects_coerced_polynomial(golden_files, tmp_path, capsys, poly_bytes):
     _, _, afgl = golden_files
@@ -242,6 +276,25 @@ def test_eval_rejects_non_list_slices(golden_files, tmp_path, capsys):
     poly, _, _ = golden_files
     bad = tmp_path / "bad_array.json"
     bad.write_bytes(b'{"shape":[2,2,3],"slices":5}')
+    code, out, err = run(capsys, "eval", "--poly", str(poly), "--array", str(bad))
+    assert (code, out) == (4, "")
+    assert "malformed array JSON" in err
+
+
+@pytest.mark.parametrize(
+    "array_bytes",
+    [
+        '{"shape":[2,2,3],"slices":[[["\u0663/\u0664",0],[0,0]],[[0,1],[1,0]],[[0,0],[0,1]]]}'.encode(),
+        b'{"shape":[2,2,3],"slices":[[["1_0",0],[0,0]],[[0,1],[1,0]],[[0,0],[0,1]]]}',
+        b'{"shape":[2,2,3],"slices":[[[" 1/2 ",0],[0,0]],[[0,1],[1,0]],[[0,0],[0,1]]]}',
+        b'{"shape":[2,1,1],"slices":[{"a":1,"b":2}]}',
+    ],
+    ids=["arabic-fraction", "underscore", "padded-fraction", "dict-slice"],
+)
+def test_eval_rejects_malformed_array(golden_files, tmp_path, capsys, array_bytes):
+    poly, _, _ = golden_files
+    bad = tmp_path / "bad_array.json"
+    bad.write_bytes(array_bytes)
     code, out, err = run(capsys, "eval", "--poly", str(poly), "--array", str(bad))
     assert (code, out) == (4, "")
     assert "malformed array JSON" in err

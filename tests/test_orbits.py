@@ -110,6 +110,12 @@ def test_orbit_can_cancel_to_zero():
     assert signed_orbit(exps_from_digits("101000000000")).is_zero
 
 
+@pytest.mark.parametrize("seed", [(1, 2, 3), (0,) * 13, ()])
+def test_signed_orbit_checks_seed_length(seed):
+    with pytest.raises(ValueError):
+        signed_orbit(seed)
+
+
 def test_seed_leading_coefficients():
     inv = find_invariant(SHAPE, 6)
     assert inv.coefficient(seed_exponents("M1")) == 1

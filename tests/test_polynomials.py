@@ -1,5 +1,6 @@
 """Algebra core: canonical term order, serialization round trips."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -55,6 +56,16 @@ def test_digit_round_trip():
         exps_to_digits((10, 0))
 
 
+@pytest.mark.parametrize(
+    "bad",
+    ["", "-1", "1_0", " 12", "12 ", "\u0662\u0660\u0660", "\uff12", "1.0"],
+    ids=["empty", "sign", "underscore", "space", "trailing-space", "arabic", "fullwidth", "dot"],
+)
+def test_digits_malformed(bad):
+    with pytest.raises(ValueError):
+        exps_from_digits(bad)
+
+
 def test_constructor_collects_and_sorts():
     m1 = (1, 0) + (0,) * 10
     m2 = (0, 1) + (0,) * 10
@@ -72,6 +83,34 @@ def test_constructor_validates():
         IntPolynomial(SHAPE, [((-1,) + (0,) * 11, 1)])
     with pytest.raises(ValueError):
         IntPolynomial((2, 2), [])
+
+
+ONE_EXPS = (1,) + (0,) * 11
+
+
+@pytest.mark.parametrize(
+    "shape, exps, coeff",
+    [
+        (SHAPE, ONE_EXPS, 1.5),
+        (SHAPE, ONE_EXPS, 2.0),
+        (SHAPE, ONE_EXPS, True),
+        (SHAPE, ONE_EXPS, "1"),
+        (SHAPE, ONE_EXPS, Fraction(1)),
+        (SHAPE, (1.0,) + (0,) * 11, 1),
+        (SHAPE, (True,) + (0,) * 11, 1),
+        ((2.0, 2, 3), ONE_EXPS, 1),
+        ((True, 2, 3), ONE_EXPS, 1),
+        (("2", 2, 3), ONE_EXPS, 1),
+    ],
+    ids=[
+        "float-coeff", "integral-float-coeff", "bool-coeff", "str-coeff", "fraction-coeff",
+        "float-exponent", "bool-exponent", "float-shape", "bool-shape", "str-shape",
+    ],
+)
+def test_constructor_refuses_non_int(shape, exps, coeff):
+    """API values are ints exactly; nothing is converted."""
+    with pytest.raises(ValueError):
+        IntPolynomial(shape, [(exps, coeff)])
 
 
 def test_immutable():
@@ -158,6 +197,16 @@ def test_json_input_order_not_trusted():
         b'{"shape":[2,2,3],"terms":[{"coeff":"1"}]}',
         b'{"shape":[2,2,3],"terms":[{"exps":[1,0,0,0,0,0,0,0,0,0,0,0],"coeff":"x"}]}',
         b'{"shape":[2,2],"terms":[]}',
+        b'{"shape":[2.7,2,3],"terms":[]}',
+        b'{"shape":[true,2,3],"terms":[]}',
+        b'{"shape":["2",2,3],"terms":[]}',
+        '{"shape":[2,2,3],"terms":[{"exps":[1,0,0,0,0,0,0,0,0,0,0,0],"coeff":"\u0661"}]}'.encode(),
+        b'{"shape":[2,2,3],"terms":[{"exps":[1,0,0,0,0,0,0,0,0,0,0,0],"coeff":"1_0"}]}',
+        b'{"shape":[2,2,3],"terms":[{"exps":[1,0,0,0,0,0,0,0,0,0,0,0],"coeff":" 1"}]}',
+        b'{"shape":[2,2,3],"terms":[{"exps":[1,0,0,0,0,0,0,0,0,0,0,0],"coeff":"+1"}]}',
+        b'{"shape":[2,2,3],"terms":[{"exps":[1,0,0,0,0,0,0,0,0,0,0,0],"coeff":true}]}',
+        b'{"shape":[2,2,3],"terms":[["exps","coeff"]]}',
+        b'[]',
     ],
 )
 def test_json_malformed(bad):
@@ -187,7 +236,26 @@ def test_letter_round_trip():
     assert from_letter_text(to_letter_text(q), cayley_shape) == q
 
 
-@pytest.mark.parametrize("bad", ["a b", "+ 2", "+ z", "+ a^x", "* a"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "a b",
+        "+ 2",
+        "+ z",
+        "+ a^x",
+        "* a",
+        "+ a^",
+        "+ ^2 f",
+        "+ ab f",
+        "+ bc^2",
+        "+ \u0662 a",
+        "+ a^\u0663",
+        "+ -2 a",
+        "+ 0 a",
+        "+ a^0",
+        "+ a^-1 a^2",
+    ],
+)
 def test_letter_malformed(bad):
     with pytest.raises(ValueError):
         from_letter_text(bad)

@@ -1,0 +1,175 @@
+"""Property tests: serialization round trips and the CLI exit-code contract.
+
+Every example is derandomized and no example database is kept, so the run
+is the same on every machine.  Fuzzed CLI runs never ask for a degree or a
+degree range: that work has no bound yet.
+"""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hyperdet.arrays import HyperArray, array_from_json_bytes, array_to_json_bytes
+from hyperdet.cli import main
+from hyperdet.polynomials import (
+    IntPolynomial,
+    exps_from_digits,
+    exps_to_digits,
+    from_json_bytes,
+    from_letter_text,
+    to_json_bytes,
+    to_letter_text,
+)
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+
+SHAPES = st.tuples(*[st.integers(1, 3)] * 3)
+
+
+@st.composite
+def polynomials(draw, shapes=SHAPES):
+    shape = draw(shapes)
+    n_cells = shape[0] * shape[1] * shape[2]
+    exps = st.tuples(*[st.integers(0, 12)] * n_cells)
+    terms = draw(st.lists(st.tuples(exps, st.integers(-(10**30), 10**30)), max_size=6))
+    return IntPolynomial(shape, terms)
+
+
+@PROPERTY
+@given(polynomials())
+def test_json_round_trip(poly):
+    data = to_json_bytes(poly)
+    assert from_json_bytes(data) == poly
+    assert to_json_bytes(from_json_bytes(data)) == data
+
+
+@PROPERTY
+@given(polynomials(SHAPES.filter(lambda s: s[0] * s[1] * s[2] <= 26)))
+def test_letter_round_trip(poly):
+    assert from_letter_text(to_letter_text(poly), poly.shape) == poly
+
+
+@PROPERTY
+@given(st.lists(st.integers(0, 9), min_size=1, max_size=30).map(tuple))
+def test_digit_round_trip(exps):
+    assert exps_from_digits(exps_to_digits(exps)) == exps
+
+
+@st.composite
+def arrays(draw):
+    shape = draw(SHAPES)
+    n_cells = shape[0] * shape[1] * shape[2]
+    entries = st.fractions(max_denominator=10**12) | st.integers(-(10**30), 10**30).map(Fraction)
+    return HyperArray(shape, tuple(draw(st.lists(entries, min_size=n_cells, max_size=n_cells))))
+
+
+@PROPERTY
+@given(arrays())
+def test_array_json_round_trip(arr):
+    data = array_to_json_bytes(arr)
+    assert array_from_json_bytes(data) == arr
+    assert array_to_json_bytes(array_from_json_bytes(data)) == data
+
+
+# -- exit codes on fuzzed input ----------------------------------------------
+
+# Values a strict reader must tell apart: small ints, floats, bools, null,
+# and text with ASCII, non-ASCII, padded and separated digits.
+INT_TEXT = st.text(alphabet="0123456789-/_ +\u0663\uff12", max_size=6)
+LEAVES = st.integers(-3, 12) | st.floats(allow_nan=False) | st.booleans() | st.none() | INT_TEXT
+VALUES = st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=4), max_leaves=12)
+SMALL_SHAPES = st.sampled_from([(2, 2, 3), (2, 2, 2)])
+
+
+def _paths(node, path=()):
+    yield path
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def near_valid(draw, valid_docs):
+    """JSON bytes of a valid document, of one with a single value replaced
+    by a fuzzed one, of a truncated one, or raw bytes."""
+    doc = draw(valid_docs)
+    kind = draw(st.sampled_from(["valid", "valid", "replace", "truncate", "bytes"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=60))
+    if kind == "replace":
+        *parents, last = draw(st.sampled_from(list(_paths(doc))[1:]))
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = draw(VALUES)
+    data = json.dumps(doc).encode()
+    return data[: draw(st.integers(0, len(data) - 1))] if kind == "truncate" else data
+
+
+def small_arrays(shapes=SMALL_SHAPES):
+    entries = st.integers(-5, 5) | st.fractions(min_value=-5, max_value=5, max_denominator=9)
+    return shapes.flatmap(
+        lambda s: st.lists(entries, min_size=s[0] * s[1] * s[2], max_size=s[0] * s[1] * s[2]).map(
+            lambda flat: HyperArray(s, tuple(Fraction(v) for v in flat))
+        )
+    )
+
+
+POLY_FILES = near_valid(polynomials(SMALL_SHAPES).map(lambda p: json.loads(to_json_bytes(p))))
+ARRAY_FILES = near_valid(small_arrays().map(lambda a: json.loads(array_to_json_bytes(a))))
+MATRIX_FILES = near_valid(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n)
+    ).map(lambda rows: {"matrix": rows})
+)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def run_quietly(argv) -> int:
+    out = io.TextIOWrapper(io.BytesIO())
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@FUZZ
+@given(poly=POLY_FILES, array=ARRAY_FILES)
+def test_eval_exit_codes(workdir, poly, array):
+    (workdir / "poly.json").write_bytes(poly)
+    (workdir / "array.json").write_bytes(array)
+    argv = ["eval", "--poly", str(workdir / "poly.json"), "--array", str(workdir / "array.json")]
+    assert run_quietly(argv) in {0, 3, 4}
+
+
+@FUZZ
+@given(array=ARRAY_FILES, mode=st.sampled_from("123") | INT_TEXT, matrix=MATRIX_FILES)
+def test_transform_exit_codes(workdir, array, mode, matrix):
+    (workdir / "array.json").write_bytes(array)
+    (workdir / "matrix.json").write_bytes(matrix)
+    argv = [
+        "transform", "--array", str(workdir / "array.json"),
+        f"--mode={mode}", "--matrix", str(workdir / "matrix.json"),
+    ]
+    assert run_quietly(argv) in {0, 3, 4}
+
+
+SEEDS = st.text(max_size=14) | st.text(alphabet="0123456789\u0662", min_size=12, max_size=12)
+WEIGHTS = st.text(max_size=12) | st.lists(st.integers(-6, 6), min_size=4, max_size=4).map(
+    lambda w: ",".join(map(str, w))
+)
+
+
+@FUZZ
+@given(seed=SEEDS, weight=WEIGHTS)
+def test_flag_exit_codes(seed, weight):
+    assert run_quietly(["orbit", f"--seed={seed}"]) in {0, 2, 4}
+    assert run_quietly(["dims", "--shape", "2x2x3", "--degrees", "6", f"--weight={weight}"]) in {0, 4}

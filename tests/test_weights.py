@@ -8,6 +8,7 @@ import pytest
 from hyperdet import reference
 from hyperdet.polynomials import exps_from_digits, exps_to_digits, flat_index
 from hyperdet.weights import (
+    check_weight,
     count_dim,
     enumerate_basis,
     feasible_degree,
@@ -167,3 +168,9 @@ def test_weight_validation():
         count_dim(SHAPE, 6, (0, 0, 0))
     with pytest.raises(ValueError):
         slice_sums_for(SHAPE, -1, (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize("weight", [(0.5, 0, 0, 0), (True, 0, 0, 0), ("0", 0, 0, 0)])
+def test_check_weight_refuses_non_integers(weight):
+    with pytest.raises(ValueError):
+        check_weight(SHAPE, weight)
