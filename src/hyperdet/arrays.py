@@ -25,8 +25,10 @@ from .polynomials import (
     IntPolynomial,
     Shape,
     cell_count,
+    cells,
     check_int,
     check_shape,
+    fibers,
     flat_index,
     malformed,
     parse_int,
@@ -91,9 +93,7 @@ class HyperArray:
             _nested(sl, a) and all(_nested(row, b) for row in sl) for sl in slices
         ):
             raise ValueError(f"slice nesting does not match shape {shape}")
-        return cls(
-            shape, tuple(slices[k][i][j] for k in range(c) for i in range(a) for j in range(b))
-        )
+        return cls(shape, tuple(slices[k - 1][i - 1][j - 1] for i, j, k in cells(shape)))
 
     @classmethod
     def random_int(cls, shape, rng: Random, lo: int = -5, hi: int = 5) -> HyperArray:
@@ -176,18 +176,11 @@ def mode_transform(arr: HyperArray, g: ModeMatrix) -> HyperArray:
         raise ShapeMismatchError(
             f"mode {g.mode} of shape {shape} has size {d}, matrix is {g.size}x{g.size}"
         )
-    a, b, c = shape
-    new = [Fraction(0)] * len(arr.flat)
-    for k in range(1, c + 1):
-        for i in range(1, a + 1):
-            for j in range(1, b + 1):
-                idx = [i, j, k]
-                s = idx[g.mode - 1]
-                total = Fraction(0)
-                for t in range(1, d + 1):
-                    idx[g.mode - 1] = t
-                    total += g.entries[s - 1][t - 1] * arr.item(*idx)
-                new[flat_index(shape, i, j, k)] = total
+    new = list(arr.flat)
+    for fiber in fibers(shape, g.mode):
+        column = [arr.flat[pos] for pos in fiber]
+        for pos, row in zip(fiber, g.entries):
+            new[pos] = sum(x * y for x, y in zip(row, column))
     return HyperArray(shape, tuple(new))
 
 

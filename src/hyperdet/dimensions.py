@@ -19,13 +19,14 @@ from fractions import Fraction
 from . import reference
 from .weights import count_dim
 
-FORMULA_IDS = ("weight0", "weight2000", "weight002-1")
-
-WEIGHT_FOR_ID = {
-    "weight0": (0, 0, 0, 0),
-    "weight2000": (2, 0, 0, 0),
-    "weight002-1": (0, 0, 2, -1),
+#: Each formula id's weight and its column in `reference.DIM_TABLE`.
+TABLE_COLUMNS = {
+    "weight0": ((0, 0, 0, 0), 1),
+    "weight2000": ((2, 0, 0, 0), 2),
+    "weight002-1": ((0, 0, 2, -1), 3),
 }
+
+FORMULA_IDS = tuple(TABLE_COLUMNS)
 
 # Factored numerators and denominators (coefficient lists are constant-first)
 _DENOM_A = 58786560
@@ -103,12 +104,9 @@ class DataColumn:
             raise ValueError("degrees and dims must have equal length")
 
 
-_COLUMN_INDEX = {"weight0": 1, "weight2000": 2, "weight002-1": 3}
-
-
 def table_column(formula_id: str) -> DataColumn:
     """The tabulated column for a formula id (17 points, n = 0, 6, ..., 96)."""
-    idx = _COLUMN_INDEX[_check_id(formula_id)]
+    _, idx = TABLE_COLUMNS[_check_id(formula_id)]
     return DataColumn(
         degrees=tuple(row[0] for row in reference.DIM_TABLE),
         dims=tuple(row[idx] for row in reference.DIM_TABLE),
@@ -186,9 +184,8 @@ def verify_table(shape=(2, 2, 3)) -> TableReport:
     if shape != (2, 2, 3):
         raise ValueError("dimension table is only available for shape (2, 2, 3)")
     entries = []
-    for formula_id in FORMULA_IDS:
+    for formula_id, (weight, _) in TABLE_COLUMNS.items():
         column = table_column(formula_id)
-        weight = WEIGHT_FOR_ID[formula_id]
         for n, fixture in zip(column.degrees, column.dims):
             entries.append(
                 TableEntry(

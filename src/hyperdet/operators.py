@@ -24,10 +24,11 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt, lcm
 
-from .polynomials import IntPolynomial, Shape, check_shape, flat_index
+from .polynomials import IntPolynomial, Shape, check_shape, fibers
 from .weights import (
     Weight,
     WeightSpaceBasis,
+    _mode_component_slices,
     check_weight,
     enumerate_basis,
     weight_length,
@@ -62,37 +63,22 @@ def weight_shift(shape, op: RaisingOp) -> Weight:
     """Weight displacement caused by the operator: +2 on its own component,
     -1 on the adjacent components of the same mode."""
     shape = check_shape(shape)
-    d = shape[op.mode - 1]
-    if not 1 <= op.step <= d - 1:
+    off, cnt = _mode_component_slices(shape)[op.mode - 1]
+    if not 1 <= op.step <= cnt:
         raise ValueError(f"step {op.step} out of range for mode {op.mode} of {shape}")
-    off = sum(s - 1 for s in shape[: op.mode - 1])
     shift = [0] * weight_length(shape)
     shift[off + op.step - 1] = 2
     if op.step >= 2:
         shift[off + op.step - 2] = -1
-    if op.step <= d - 2:
+    if op.step < cnt:
         shift[off + op.step] = -1
     return tuple(shift)
 
 
 def _transfer_pairs(shape: Shape, op: RaisingOp) -> list[tuple[int, int]]:
-    """Flat (source, destination) cell pairs the operator can act on."""
-    a, b, c = shape
-    t = op.step
-    pairs = []
-    if op.mode == 1:
-        for j in range(1, b + 1):
-            for k in range(1, c + 1):
-                pairs.append((flat_index(shape, t + 1, j, k), flat_index(shape, t, j, k)))
-    elif op.mode == 2:
-        for i in range(1, a + 1):
-            for k in range(1, c + 1):
-                pairs.append((flat_index(shape, i, t + 1, k), flat_index(shape, i, t, k)))
-    else:
-        for i in range(1, a + 1):
-            for j in range(1, b + 1):
-                pairs.append((flat_index(shape, i, j, t + 1), flat_index(shape, i, j, t)))
-    return pairs
+    """Flat (source, destination) cell pairs the operator can act on: in
+    every fiber of its mode, the cell at index step+1 and the one at step."""
+    return [(f[op.step], f[op.step - 1]) for f in fibers(shape, op.mode)]
 
 
 def _raise(pairs, exps: tuple[int, ...]):
@@ -108,7 +94,8 @@ def _raise(pairs, exps: tuple[int, ...]):
 
 
 def raise_monomial(shape, op: RaisingOp, exps) -> list[tuple[int, tuple[int, ...]]]:
-    """Image of a single monomial: list of (coefficient, exponents)."""
+    """Image of a single monomial: list of (coefficient, exponents), in the
+    flat order of the cell each unit moves from."""
     return list(_raise(_transfer_pairs(check_shape(shape), op), tuple(exps)))
 
 

@@ -21,6 +21,7 @@ from .polynomials import (
     Exponents,
     IntPolynomial,
     cell_count,
+    cells,
     check_shape,
     exps_from_digits,
     flat_index,
@@ -72,16 +73,10 @@ def group_elements(shape=(2, 2, 3)) -> tuple[GroupElement, ...]:
 def act(g: GroupElement, exps) -> Exponents:
     """Relabel cells: the exponent at (i,j,k) moves to (rows(i), cols(j), fronts(k))."""
     shape = g.shape
-    a, b, c = shape
     exps = tuple(exps)
     new = [0] * len(exps)
-    pos = 0
-    for k in range(1, c + 1):
-        for i in range(1, a + 1):
-            for j in range(1, b + 1):
-                dst = flat_index(shape, g.rows[i - 1], g.cols[j - 1], g.fronts[k - 1])
-                new[dst] = exps[pos]
-                pos += 1
+    for e, (i, j, k) in zip(exps, cells(shape)):
+        new[flat_index(shape, g.rows[i - 1], g.cols[j - 1], g.fronts[k - 1])] = e
     return tuple(new)
 
 

@@ -8,6 +8,15 @@ inside each slice: for shape (a, b, c) the cell (i, j, k) (all indices
 
     x111 x121 x211 x221  x112 x122 x212 x222  x113 x123 x213 x223
 
+This module owns that layout: `cells` lists the cells in flat order,
+`flat_index` maps a cell to its position, and `fibers` groups the positions
+by mode.  A mode-m fiber is the set of cells that agree on every index but
+the m-th; it lists their flat positions by their mode-m index.  Slice t of
+mode m is the t-th position of every mode-m fiber, so
+`zip(*fibers(shape, m))` gives the slices of mode m in order.  For shape
+(2, 2, 3) the mode-1 fibers are (0, 2), (1, 3), (4, 6), ... and the first
+horizontal slice is (0, 1, 4, 5, 8, 9).
+
 A polynomial is a sum of (exponent vector, integer coefficient) terms kept
 in canonical order: descending lexicographic on the exponent vector, no zero
 coefficients, no duplicate monomials.  Coefficients are arbitrary-precision
@@ -36,6 +45,7 @@ import json
 import re
 import string
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 Exponents = tuple[int, ...]
@@ -98,6 +108,18 @@ def cells(shape: Shape) -> Iterator[tuple[int, int, int]]:
         for i in range(1, a + 1):
             for j in range(1, b + 1):
                 yield (i, j, k)
+
+
+@lru_cache(maxsize=32)
+def fibers(shape: Shape, mode: int) -> tuple[tuple[int, ...], ...]:
+    """Flat positions of every mode-`mode` fiber: fibers in the flat order of
+    their first cell, the cells of a fiber by their index in that mode."""
+    if mode not in (1, 2, 3):
+        raise ValueError(f"mode must be 1..3, got {mode}")
+    out: dict[tuple[int, ...], list[int]] = {}
+    for pos, cell in enumerate(cells(shape)):
+        out.setdefault(cell[: mode - 1] + cell[mode:], []).append(pos)
+    return tuple(tuple(f) for f in out.values())
 
 
 def exps_from_digits(digits: str) -> Exponents:

@@ -41,6 +41,7 @@ from .arrays import (
 )
 from .dimensions import (
     FORMULA_IDS,
+    TABLE_COLUMNS,
     conjecture_dim,
     formula_coefficients,
     interpolate_dims,
@@ -410,23 +411,18 @@ def _check_cayley(seed: int) -> str:
 
 @_register("dims-table")
 def _check_dims_table(seed: int) -> str:
-    weights = {
-        1: (0, 0, 0, 0),
-        2: (2, 0, 0, 0),
-        3: (0, 0, 2, -1),
-    }
     start = time.perf_counter()
     for row in reference.DIM_TABLE:
         n = row[0]
-        for col, weight in weights.items():
+        for weight, col in TABLE_COLUMNS.values():
             got = count_dim((2, 2, 3), n, weight)
             _require(
                 got == row[col],
                 f"count_dim(n={n}, weight={weight}) = {got}, table says {row[col]}",
             )
-    _require_within(start, 60.0, f"{len(weights) * len(reference.DIM_TABLE)} count_dim lookups")
+    _require_within(start, 60.0, f"{len(TABLE_COLUMNS) * len(reference.DIM_TABLE)} count_dim lookups")
     for n in (6, 12):
-        for weight in weights.values():
+        for weight, _ in TABLE_COLUMNS.values():
             counted = count_dim((2, 2, 3), n, weight)
             listed = len(enumerate_basis((2, 2, 3), n, weight))
             _require(

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .polynomials import Exponents, Shape, check_int, check_shape
+from .polynomials import Exponents, Shape, cells, check_int, check_shape, fibers
 
 Weight = tuple[int, ...]
 
@@ -65,20 +65,10 @@ def weight_of(shape, exps: Exponents) -> Weight:
 
 def mode_slice_sums(shape: Shape, exps: Exponents) -> tuple[tuple[int, ...], ...]:
     """Entry sums of every slice, grouped by mode."""
-    a, b, c = shape
-    rows = [0] * a
-    cols = [0] * b
-    fronts = [0] * c
-    pos = 0
-    for k in range(c):
-        for i in range(a):
-            for j in range(b):
-                e = exps[pos]
-                rows[i] += e
-                cols[j] += e
-                fronts[k] += e
-                pos += 1
-    return (tuple(rows), tuple(cols), tuple(fronts))
+    return tuple(
+        tuple(sum(exps[pos] for pos in sl) for sl in zip(*fibers(shape, mode)))
+        for mode in (1, 2, 3)
+    )
 
 
 def slice_sums_for(shape, n: int, weight) -> tuple[tuple[int, ...], ...] | None:
@@ -90,6 +80,7 @@ def slice_sums_for(shape, n: int, weight) -> tuple[tuple[int, ...], ...] | None:
     """
     shape = check_shape(shape)
     weight = check_weight(shape, weight)
+    n = check_int(n)
     if n < 0:
         raise ValueError(f"degree must be >= 0, got {n}")
     out = []
@@ -108,15 +99,6 @@ def slice_sums_for(shape, n: int, weight) -> tuple[tuple[int, ...], ...] | None:
             return None
         out.append(sums)
     return tuple(out)
-
-
-def feasible_degree(shape, n: int, weight) -> bool:
-    """Whether any monomial of this degree has this weight.
-
-    At weight zero this is equivalent to every mode size dividing n (for
-    shape (2, 2, 3): n a multiple of 6).
-    """
-    return slice_sums_for(shape, n, weight) is not None
 
 
 @dataclass(frozen=True)
@@ -148,24 +130,15 @@ def enumerate_basis(shape, n: int, weight) -> WeightSpaceBasis:
     if sums is None:
         return WeightSpaceBasis(shape, n, weight, ())
 
-    a, b, c = shape
-    rows, cols, fronts = (list(s) for s in sums)
+    budgets = [list(s) for s in sums]
+    rows, cols, fronts = budgets
     # Budget coordinates per flat position, plus which budgets the position
     # closes (it is the last flat position drawing on that slice).
-    coords: list[tuple[int, int, int]] = []
-    closes: list[list[tuple[list[int], int]]] = []
-    for k in range(c):
-        for i in range(a):
-            for j in range(b):
-                coords.append((i, j, k))
-                closing: list[tuple[list[int], int]] = []
-                if i == a - 1 and j == b - 1:
-                    closing.append((fronts, k))
-                if k == c - 1 and j == b - 1:
-                    closing.append((rows, i))
-                if k == c - 1 and i == a - 1:
-                    closing.append((cols, j))
-                closes.append(closing)
+    coords = [(i - 1, j - 1, k - 1) for i, j, k in cells(shape)]
+    closes: list[list[tuple[list[int], int]]] = [[] for _ in coords]
+    for mode, budget in enumerate(budgets, start=1):
+        for t, sl in enumerate(zip(*fibers(shape, mode))):
+            closes[max(sl)].append((budget, t))
 
     n_cells = len(coords)
     exps = [0] * n_cells
@@ -212,7 +185,8 @@ def count_dim(shape, n: int, weight) -> int:
     """
     shape = check_shape(shape)
     weight = check_weight(shape, weight)
-    return _count_dim_cached(shape, n, weight)
+    # checked before the cache lookup, where True would hit the entry for 1
+    return _count_dim_cached(shape, check_int(n), weight)
 
 
 @lru_cache(maxsize=None)

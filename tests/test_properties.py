@@ -1,4 +1,5 @@
-"""Property tests: serialization round trips and the CLI exit-code contract.
+"""Property tests: the cell layout, serialization round trips and the CLI
+exit-code contract.
 
 Every example is derandomized and no example database is kept, so the run
 is the same on every machine.  Fuzzed CLI runs never ask for a degree or a
@@ -9,22 +10,34 @@ import contextlib
 import io
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperdet.arrays import HyperArray, array_from_json_bytes, array_to_json_bytes
+from hyperdet.arrays import (
+    HyperArray,
+    ModeMatrix,
+    array_from_json_bytes,
+    array_to_json_bytes,
+    mode_transform,
+)
 from hyperdet.cli import main
+from hyperdet.operators import _transfer_pairs, raising_ops
+from hyperdet.orbits import GroupElement, act
 from hyperdet.polynomials import (
     IntPolynomial,
     exps_from_digits,
     exps_to_digits,
+    fibers,
+    flat_index,
     from_json_bytes,
     from_letter_text,
     to_json_bytes,
     to_letter_text,
 )
+from hyperdet.weights import mode_slice_sums
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -75,6 +88,86 @@ def test_array_json_round_trip(arr):
     data = array_to_json_bytes(arr)
     assert array_from_json_bytes(data) == arr
     assert array_to_json_bytes(array_from_json_bytes(data)) == data
+
+
+# -- the cell layout, against brute force over flat_index ---------------------
+
+def all_cells(shape):
+    return product(*(range(1, d + 1) for d in shape))
+
+
+def moved(cell, mode, index):
+    """The cell with its mode-`mode` index replaced."""
+    return cell[: mode - 1] + (index,) + cell[mode:]
+
+
+@PROPERTY
+@given(SHAPES)
+def test_fibers_partition_cells(shape):
+    n_cells = shape[0] * shape[1] * shape[2]
+    for mode, d in enumerate(shape, start=1):
+        fibs = fibers(shape, mode)
+        assert sorted(pos for f in fibs for pos in f) == list(range(n_cells))
+        expected = {
+            tuple(flat_index(shape, *moved(cell, mode, t)) for t in range(1, d + 1))
+            for cell in all_cells(shape)
+        }
+        # fibers in flat order of their cells, each of length d_m, by mode index
+        assert list(fibs) == sorted(expected)
+
+
+@st.composite
+def monomials(draw):
+    shape = draw(SHAPES)
+    return shape, draw(st.tuples(*[st.integers(0, 12)] * (shape[0] * shape[1] * shape[2])))
+
+
+@PROPERTY
+@given(monomials())
+def test_mode_slice_sums_brute_force(monomial):
+    shape, exps = monomial
+    expected = tuple(
+        tuple(
+            sum(exps[flat_index(shape, *cell)] for cell in all_cells(shape) if cell[mode] == t)
+            for t in range(1, d + 1)
+        )
+        for mode, d in enumerate(shape)
+    )
+    assert mode_slice_sums(shape, exps) == expected
+
+
+@PROPERTY
+@given(SHAPES)
+def test_transfer_pairs_brute_force(shape):
+    for op in raising_ops(shape):
+        expected = [
+            (flat_index(shape, *cell), flat_index(shape, *moved(cell, op.mode, op.step)))
+            for cell in all_cells(shape)
+            if cell[op.mode - 1] == op.step + 1
+        ]
+        # sources in flat order
+        assert _transfer_pairs(shape, op) == sorted(expected)
+
+
+@st.composite
+def permutations_in_one_mode(draw):
+    arr = draw(arrays())
+    mode = draw(st.integers(1, 3))
+    perm = tuple(draw(st.permutations(range(1, arr.shape[mode - 1] + 1))))
+    return arr, mode, perm
+
+
+@PROPERTY
+@given(permutations_in_one_mode())
+def test_permutation_transform_matches_act(case):
+    arr, mode, perm = case
+    d = len(perm)
+    # new slice s is old slice t exactly when act moves t to s
+    matrix = [[int(perm[t] == s) for t in range(d)] for s in range(1, d + 1)]
+    perms = [tuple(range(1, size + 1)) for size in arr.shape]
+    perms[mode - 1] = perm
+    moved_array = HyperArray(arr.shape, act(GroupElement(*perms), arr.flat))
+    assert mode_transform(arr, ModeMatrix(mode, matrix)) == moved_array
 
 
 # -- exit codes on fuzzed input ----------------------------------------------

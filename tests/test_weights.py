@@ -6,12 +6,12 @@ from random import Random
 import pytest
 
 from hyperdet import reference
+from hyperdet.operators import assemble_matrix
 from hyperdet.polynomials import exps_from_digits, exps_to_digits, flat_index
 from hyperdet.weights import (
     check_weight,
     count_dim,
     enumerate_basis,
-    feasible_degree,
     mode_slice_sums,
     slice_sums_for,
     weight_length,
@@ -86,7 +86,7 @@ def test_slice_sums_weight_zero():
 
 def test_weight_zero_feasibility_needs_lcm():
     # all three mode sizes must divide n, so n must be a multiple of 6
-    feasible = [n for n in range(0, 19) if feasible_degree(SHAPE, n, (0, 0, 0, 0))]
+    feasible = [n for n in range(0, 19) if slice_sums_for(SHAPE, n, (0, 0, 0, 0)) is not None]
     assert feasible == [0, 6, 12, 18]
     # negative forced slice sums are also rejected
     assert slice_sums_for(SHAPE, 2, (4, 0, 0, 0)) is None
@@ -163,11 +163,19 @@ def test_mode_slice_sums():
     assert mode_slice_sums(SHAPE, exps) == ((3, 3), (3, 3), (2, 2, 2))
 
 
-def test_weight_validation():
+@pytest.mark.parametrize("degree", [True, 6.0, "6"])
+def test_weight_validation(degree):
     with pytest.raises(ValueError):
         count_dim(SHAPE, 6, (0, 0, 0))
     with pytest.raises(ValueError):
         slice_sums_for(SHAPE, -1, (0, 0, 0, 0))
+    for call in (slice_sums_for, count_dim, enumerate_basis, assemble_matrix):
+        with pytest.raises(ValueError):
+            call(SHAPE, degree, zero_weight(SHAPE))
+    # a cached entry for n = 1 must not answer for True
+    count_dim(SHAPE, 1, zero_weight(SHAPE))
+    with pytest.raises(ValueError):
+        count_dim(SHAPE, degree, zero_weight(SHAPE))
 
 
 @pytest.mark.parametrize("weight", [(0.5, 0, 0, 0), (True, 0, 0, 0), ("0", 0, 0, 0)])
