@@ -7,14 +7,7 @@ Lagrange interpolation through the first eight table points recovers
 those polynomials, and the remaining nine points confirm them.
 """
 
-from hyperdet.dimensions import (
-    FORMULA_IDS,
-    conjecture_dim,
-    formula_coefficients,
-    interpolate_dims,
-    table_column,
-    verify_table,
-)
+from hyperdet.dimensions import conjecture_dim, formula_coefficients, verify_table
 from hyperdet.weights import count_dim
 
 SHAPE = (2, 2, 3)
@@ -30,12 +23,11 @@ print(f"\nall {len(report.entries)} fixture entries match the fresh counts "
       f"and the closed forms: {report.ok}")
 
 print()
-for formula_id in FORMULA_IDS:
-    coeffs = formula_coefficients(formula_id)
-    fitted = interpolate_dims(table_column(formula_id))
-    print(f"{formula_id}:")
+for fit in report.interpolation:
+    coeffs = formula_coefficients(fit.column)
+    print(f"{fit.column}:")
     print(f"  degree {len(coeffs) - 1} polynomial, leading coefficient {coeffs[-1]}")
-    print(f"  interpolation through 8 points recovers it: {fitted == coeffs}")
+    print(f"  interpolation through 8 points recovers it: {fit.ok}")
 
 print()
 print("the closed forms extrapolate far beyond the table:")

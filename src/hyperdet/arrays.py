@@ -30,6 +30,7 @@ from .polynomials import (
     check_shape,
     fibers,
     flat_index,
+    json_line,
     malformed,
     parse_int,
 )
@@ -157,16 +158,6 @@ class ModeMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    @classmethod
-    def identity(cls, mode: int, size: int) -> ModeMatrix:
-        return cls(
-            mode,
-            tuple(
-                tuple(Fraction(int(r == c)) for c in range(size))
-                for r in range(size)
-            ),
-        )
-
 
 def mode_transform(arr: HyperArray, g: ModeMatrix) -> HyperArray:
     """Multiply the array along g.mode: new slice s = sum_t g[s][t] * slice t."""
@@ -184,35 +175,23 @@ def mode_transform(arr: HyperArray, g: ModeMatrix) -> HyperArray:
     return HyperArray(shape, tuple(new))
 
 
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum(a[r][m] * b[m][c] for m in range(n)) for c in range(n))
-        for r in range(n)
-    )
-
-
 def random_unimodular(size: int, rng: Random) -> Matrix:
     """Product of 3..6 integer shears: determinant 1, nontrivial mixing.
 
     Each shear is the identity plus a nonzero c in [-3,3] at one
-    off-diagonal position.
+    off-diagonal position (r, col); multiplying it in from the left is the
+    row operation row r += c * row col, applied in the order drawn.
     """
-    if size < 2:
-        return ModeMatrix.identity(1, size).entries
-    mat = ModeMatrix.identity(1, size).entries
-    for _ in range(rng.randint(3, 6)):
-        r = rng.randrange(size)
-        c = rng.randrange(size - 1)
-        if c >= r:
-            c += 1
-        coeff = rng.choice((-3, -2, -1, 1, 2, 3))
-        shear = [
-            [Fraction(int(x == y)) for y in range(size)] for x in range(size)
-        ]
-        shear[r][c] = Fraction(coeff)
-        mat = matmul(tuple(tuple(row) for row in shear), mat)
-    return mat
+    mat = [[int(r == c) for c in range(size)] for r in range(size)]
+    if size >= 2:
+        for _ in range(rng.randint(3, 6)):
+            r = rng.randrange(size)
+            c = rng.randrange(size - 1)
+            if c >= r:
+                c += 1
+            coeff = rng.choice((-3, -2, -1, 1, 2, 3))
+            mat[r] = [x + coeff * y for x, y in zip(mat[r], mat[c])]
+    return tuple(tuple(Fraction(v) for v in row) for row in mat)
 
 
 @dataclass(frozen=True)
@@ -293,7 +272,7 @@ def array_to_json_bytes(arr: HyperArray) -> bytes:
             [[_entry_out(v) for v in row] for row in sl] for sl in arr.slices()
         ],
     }
-    return json.dumps(doc, separators=(",", ":")).encode("ascii") + b"\n"
+    return json_line(doc)
 
 
 def array_from_json_bytes(data: bytes | str) -> HyperArray:
@@ -304,7 +283,7 @@ def array_from_json_bytes(data: bytes | str) -> HyperArray:
 
 def mode_matrix_to_json_bytes(matrix: Matrix) -> bytes:
     doc = {"matrix": [[_entry_out(v) for v in row] for row in matrix]}
-    return json.dumps(doc, separators=(",", ":")).encode("ascii") + b"\n"
+    return json_line(doc)
 
 
 def mode_matrix_from_json_bytes(data: bytes | str) -> Matrix:

@@ -11,7 +11,6 @@ mismatch, 4 parse error (bad flags, malformed values, unreadable files).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .arrays import (
@@ -23,13 +22,7 @@ from .arrays import (
     mode_matrix_from_json_bytes,
     mode_transform,
 )
-from .dimensions import (
-    FORMULA_IDS,
-    formula_coefficients,
-    interpolate_dims,
-    table_column,
-    verify_table,
-)
+from .dimensions import verify_table
 from .operators import assemble_matrix, exact_kernel, kernel_polynomials
 from .orbits import signed_orbit
 from .polynomials import (
@@ -131,7 +124,9 @@ def run_invariant(shape, degree: int, out_path: str | None, fmt: str) -> int:
 
 def run_dims(shape, weight, degrees: list[int], verify_conjecture: bool) -> int:
     if verify_conjecture:
-        return _run_dims_conjecture(shape)
+        report = verify_table(shape)
+        _emit(report.to_json_bytes(), None)
+        return 0 if report.ok else 1
     if not degrees:
         print("empty degree range", file=sys.stderr)
         return 2
@@ -140,47 +135,6 @@ def run_dims(shape, weight, degrees: list[int], verify_conjecture: bool) -> int:
         lines.append(f"{n}\t{count_dim(shape, n, weight)}\n")
     _emit("".join(lines).encode("ascii"), None)
     return 0
-
-
-def _run_dims_conjecture(shape) -> int:
-    report = verify_table(shape)
-    entries = [
-        {
-            "n": e.n,
-            "column": e.column,
-            "counted": e.counted,
-            "fixture": e.fixture,
-            "formula": str(e.formula),
-            "match": e.ok,
-        }
-        for e in report.entries
-    ]
-    interpolation = []
-    inter_ok = True
-    for formula_id in FORMULA_IDS:
-        try:
-            fitted = interpolate_dims(table_column(formula_id))
-            matches = fitted == formula_coefficients(formula_id)
-            interpolation.append(
-                {
-                    "column": formula_id,
-                    "degree": len(fitted) - 1,
-                    "matches_formula": matches,
-                }
-            )
-            inter_ok = inter_ok and matches
-        except ValueError as exc:
-            interpolation.append({"column": formula_id, "error": str(exc)})
-            inter_ok = False
-    ok = report.ok and inter_ok
-    doc = {
-        "shape": list(shape),
-        "entries": entries,
-        "interpolation": interpolation,
-        "ok": ok,
-    }
-    _emit(json.dumps(doc, separators=(",", ":")).encode("ascii") + b"\n", None)
-    return 0 if ok else 1
 
 
 def run_orbit(seed: str, fmt: str, out_path: str | None = None) -> int:

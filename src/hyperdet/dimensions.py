@@ -13,10 +13,12 @@ All arithmetic is over Fraction, so agreement checks are exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import reference
+from .polynomials import json_line
 from .weights import count_dim
 
 #: Each formula id's weight and its column in `reference.DIM_TABLE`.
@@ -65,13 +67,12 @@ def _poly_mul(p, q):
 
 def _poly_eval(coeffs, n) -> Fraction:
     total = Fraction(0)
-    power = Fraction(1)
-    for c in coeffs:
-        total += c * power
-        power *= n
+    for c in reversed(coeffs):
+        total = total * n + c
     return total
 
 
+@lru_cache(maxsize=len(_FACTORS))
 def formula_coefficients(formula_id: str) -> tuple[Fraction, ...]:
     """Expanded coefficients of the closed form, constant term first."""
     denom, factors = _FACTORS[_check_id(formula_id)]
@@ -85,11 +86,7 @@ def conjecture_dim(formula_id: str, n: int) -> Fraction:
     """Evaluate the closed form exactly; integral whenever 6 divides n."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    denom, factors = _FACTORS[_check_id(formula_id)]
-    value = Fraction(1, denom)
-    for fac in factors:
-        value *= _poly_eval([Fraction(c) for c in fac], n)
-    return value
+    return _poly_eval(formula_coefficients(formula_id), n)
 
 
 @dataclass(frozen=True)
@@ -163,27 +160,67 @@ class TableEntry:
 
 
 @dataclass(frozen=True)
-class TableReport:
-    entries: tuple[TableEntry, ...]
+class Interpolant:
+    """A column's interpolant through its first 8 points, or the error that stopped it."""
+
+    column: str
+    coefficients: tuple[Fraction, ...] = ()
+    error: str = ""
 
     @property
     def ok(self) -> bool:
-        return all(e.ok for e in self.entries)
+        return self.coefficients == formula_coefficients(self.column)
+
+
+@dataclass(frozen=True)
+class TableReport:
+    """The dimension-table verdict: 51 three-way entries and one
+    interpolant per column.  `ok` is the only pass rule."""
+
+    shape: tuple[int, int, int]
+    entries: tuple[TableEntry, ...]
+    interpolation: tuple[Interpolant, ...]
+
+    @property
+    def ok(self) -> bool:
+        return all(e.ok for e in self.entries) and all(f.ok for f in self.interpolation)
 
     def mismatches(self) -> tuple[TableEntry, ...]:
         return tuple(e for e in self.entries if not e.ok)
 
+    def to_json_bytes(self) -> bytes:
+        """The report as `dims --verify-conjecture` prints it."""
+        entries = [
+            {**asdict(e), "formula": str(e.formula), "match": e.ok} for e in self.entries
+        ]
+        interpolation = [
+            {"column": fit.column, "error": fit.error}
+            if fit.error
+            else {
+                "column": fit.column,
+                "degree": len(fit.coefficients) - 1,
+                "matches_formula": fit.ok,
+            }
+            for fit in self.interpolation
+        ]
+        doc = {
+            "shape": list(self.shape),
+            "entries": entries,
+            "interpolation": interpolation,
+            "ok": self.ok,
+        }
+        return json_line(doc)
+
 
 def verify_table(shape=(2, 2, 3)) -> TableReport:
-    """Three-way check of counted, tabulated and closed-form dimensions.
-
-    51 entries: 17 degrees x 3 columns.  A transcription or counting error
-    surfaces as a mismatch entry rather than an exception.
-    """
+    """The whole verdict on the dimension table: per column, 17 entries
+    comparing counted, tabulated and closed-form dimensions, and the
+    column's interpolant.  A transcription or counting error surfaces in
+    the report rather than as an exception."""
     shape = tuple(shape)
     if shape != (2, 2, 3):
         raise ValueError("dimension table is only available for shape (2, 2, 3)")
-    entries = []
+    entries, interpolation = [], []
     for formula_id, (weight, _) in TABLE_COLUMNS.items():
         column = table_column(formula_id)
         for n, fixture in zip(column.degrees, column.dims):
@@ -196,4 +233,8 @@ def verify_table(shape=(2, 2, 3)) -> TableReport:
                     formula=conjecture_dim(formula_id, n),
                 )
             )
-    return TableReport(entries=tuple(entries))
+        try:
+            interpolation.append(Interpolant(formula_id, interpolate_dims(column)))
+        except ValueError as exc:
+            interpolation.append(Interpolant(formula_id, error=str(exc)))
+    return TableReport(shape, tuple(entries), tuple(interpolation))

@@ -24,14 +24,14 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt, lcm
 
-from .polynomials import IntPolynomial, Shape, check_shape, fibers
+from .polynomials import IntPolynomial, Shape, check_shape, fibers, json_line
 from .weights import (
     Weight,
     WeightSpaceBasis,
     _mode_component_slices,
-    check_weight,
     enumerate_basis,
     weight_length,
+    zero_weight,
 )
 
 # One matrix row: (column, value) pairs, columns increasing, values nonzero.
@@ -40,7 +40,8 @@ SparseRow = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class RaisingOp:
-    """Mode m in 1..3, step t in 1..(size of mode m) - 1."""
+    """Mode m in 1..3, step t in 1..(size of mode m) - 1; operators that
+    take a shape refuse any other with ValueError."""
 
     mode: int
     step: int
@@ -59,13 +60,18 @@ def raising_ops(shape) -> tuple[RaisingOp, ...]:
     )
 
 
+def _check_op(shape: Shape, op: RaisingOp) -> None:
+    """Refuse an operator the shape does not have: mode 1..3, step 1..d_m - 1."""
+    if op.mode not in (1, 2, 3) or not 1 <= op.step < shape[op.mode - 1]:
+        raise ValueError(f"{op} is not a raising operator of shape {shape}")
+
+
 def weight_shift(shape, op: RaisingOp) -> Weight:
     """Weight displacement caused by the operator: +2 on its own component,
     -1 on the adjacent components of the same mode."""
     shape = check_shape(shape)
+    _check_op(shape, op)
     off, cnt = _mode_component_slices(shape)[op.mode - 1]
-    if not 1 <= op.step <= cnt:
-        raise ValueError(f"step {op.step} out of range for mode {op.mode} of {shape}")
     shift = [0] * weight_length(shape)
     shift[off + op.step - 1] = 2
     if op.step >= 2:
@@ -78,6 +84,7 @@ def weight_shift(shape, op: RaisingOp) -> Weight:
 def _transfer_pairs(shape: Shape, op: RaisingOp) -> list[tuple[int, int]]:
     """Flat (source, destination) cell pairs the operator can act on: in
     every fiber of its mode, the cell at index step+1 and the one at step."""
+    _check_op(shape, op)
     return [(f[op.step], f[op.step - 1]) for f in fibers(shape, op.mode)]
 
 
@@ -117,7 +124,7 @@ class OperatorBlock:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Stacked matrix of all raising operators on one weight space.
+    """Stacked matrix of all raising operators on the weight-zero space.
 
     Row r of block i is the r-th codomain monomial of operator i; column c
     is the c-th domain monomial.  Each row is stored sparse, as a tuple of
@@ -126,7 +133,6 @@ class OperatorMatrix:
 
     shape: Shape
     degree: int
-    weight: Weight
     domain: WeightSpaceBasis
     blocks: tuple[OperatorBlock, ...]
     rows: tuple[SparseRow, ...]
@@ -140,22 +146,18 @@ class OperatorMatrix:
         return len(self.domain)
 
 
-def assemble_matrix(shape, n: int, weight=None) -> OperatorMatrix:
-    """Build the stacked raising-operator matrix on a weight space.
-
-    Defaults to weight zero, the only weight that can hold invariants.
+def assemble_matrix(shape, n: int) -> OperatorMatrix:
+    """Build the stacked raising-operator matrix on the weight-zero space of
+    degree n, the only weight space that can hold invariants.  Operator i
+    maps it into the space of weight `weight_shift(shape, op_i)`.
     """
     shape = check_shape(shape)
-    if weight is None:
-        weight = (0,) * weight_length(shape)
-    weight = check_weight(shape, weight)
-    domain = enumerate_basis(shape, n, weight)
+    domain = enumerate_basis(shape, n, zero_weight(shape))
 
     blocks: list[OperatorBlock] = []
     rows: list[SparseRow] = []
     for op in raising_ops(shape):
-        target = tuple(w + s for w, s in zip(weight, weight_shift(shape, op)))
-        codomain = enumerate_basis(shape, n, target)
+        codomain = enumerate_basis(shape, n, weight_shift(shape, op))
         blocks.append(OperatorBlock(op, codomain, len(rows)))
         if not len(codomain):
             continue
@@ -172,7 +174,6 @@ def assemble_matrix(shape, n: int, weight=None) -> OperatorMatrix:
     return OperatorMatrix(
         shape=shape,
         degree=n,
-        weight=weight,
         domain=domain,
         blocks=tuple(blocks),
         rows=tuple(rows),
@@ -429,8 +430,6 @@ def find_invariant(shape, n: int) -> IntPolynomial | None:
 
 def matrix_to_json_bytes(matrix: OperatorMatrix) -> bytes:
     """Sparse row/col/value dump, entries sorted by row then column."""
-    import json
-
     entries = [[r, c, v] for r, row in enumerate(matrix.rows) for c, v in row]
     doc = {"rows": matrix.nrows, "cols": matrix.ncols, "entries": entries}
-    return json.dumps(doc, separators=(",", ":")).encode() + b"\n"
+    return json_line(doc)

@@ -80,6 +80,11 @@ def malformed(what: str):
         raise ValueError(f"malformed {what} JSON: {exc}") from exc
 
 
+def json_line(doc) -> bytes:
+    """The one canonical JSON writer: compact separators, ASCII, trailing newline."""
+    return json.dumps(doc, separators=(",", ":")).encode("ascii") + b"\n"
+
+
 def check_shape(dims) -> Shape:
     """Validate a mode-size tuple: exactly three integer modes, each >= 1."""
     dims = tuple(check_int(d) for d in dims)
@@ -246,7 +251,7 @@ def to_json_bytes(p: IntPolynomial) -> bytes:
         "shape": list(p.shape),
         "terms": [{"exps": list(e), "coeff": str(c)} for e, c in p.terms],
     }
-    return json.dumps(doc, separators=(",", ":")).encode("ascii") + b"\n"
+    return json_line(doc)
 
 
 def _term_from_json(term) -> tuple[Exponents, int]:

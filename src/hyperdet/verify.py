@@ -39,15 +39,7 @@ from .arrays import (
     invariance_check,
     mode_transform,
 )
-from .dimensions import (
-    FORMULA_IDS,
-    TABLE_COLUMNS,
-    conjecture_dim,
-    formula_coefficients,
-    interpolate_dims,
-    table_column,
-    verify_table,
-)
+from .dimensions import FORMULA_IDS, TABLE_COLUMNS, conjecture_dim, verify_table
 from .operators import (
     apply_raising,
     assemble_matrix,
@@ -437,21 +429,19 @@ def _check_dims_conjecture(seed: int) -> str:
     report = verify_table((2, 2, 3))
     bad = report.mismatches()
     _require(not bad, f"{len(bad)} of {len(report.entries)} table entries mismatch")
-    for formula_id in FORMULA_IDS:
-        column = table_column(formula_id)
+    for fit in report.interpolation:
+        degrees = sum(e.column == fit.column for e in report.entries)
         _require(
-            len(column.degrees) == 17,
-            f"{formula_id} column has {len(column.degrees)} degrees, expected 17",
-        )
-        fitted = interpolate_dims(column)
-        direct = formula_coefficients(formula_id)
-        _require(
-            fitted == direct,
-            f"interpolated coefficients differ from the closed form for {formula_id}",
+            degrees == 17,
+            f"{fit.column} column has {degrees} degrees, expected 17",
         )
         _require(
-            len(fitted) == 8,
-            f"{formula_id} interpolant has degree {len(fitted) - 1}, expected 7",
+            fit.ok,
+            f"interpolated coefficients differ from the closed form for {fit.column}",
+        )
+        _require(
+            len(fit.coefficients) == 8,
+            f"{fit.column} interpolant has degree {len(fit.coefficients) - 1}, expected 7",
         )
     for formula_id in FORMULA_IDS:
         for n in range(0, 301, 6):

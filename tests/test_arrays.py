@@ -15,7 +15,6 @@ from hyperdet.arrays import (
     covariance_exponents,
     evaluate,
     invariance_check,
-    matmul,
     mode_matrix_from_json_bytes,
     mode_matrix_to_json_bytes,
     mode_transform,
@@ -55,12 +54,40 @@ def array_from_letters(**letters: int) -> HyperArray:
     return HyperArray(SHAPE, tuple(flat))
 
 
+def identity(size: int) -> tuple:
+    return tuple(
+        tuple(Fraction(int(r == c)) for c in range(size)) for r in range(size)
+    )
+
+
+def matmul(a, b) -> tuple:
+    n = len(a)
+    return tuple(
+        tuple(sum(a[r][m] * b[m][c] for m in range(n)) for c in range(n))
+        for r in range(n)
+    )
+
+
 def unit_shear(size: int, r: int, c: int, amount: int) -> tuple:
     rows = [
         [Fraction(int(x == y)) for y in range(size)] for x in range(size)
     ]
     rows[r][c] = Fraction(amount)
     return tuple(tuple(row) for row in rows)
+
+
+def shear_product(size: int, rng: Random) -> tuple:
+    """`random_unimodular`'s draws, each shear multiplied in as a full matrix."""
+    mat = identity(size)
+    if size < 2:
+        return mat
+    for _ in range(rng.randint(3, 6)):
+        r = rng.randrange(size)
+        c = rng.randrange(size - 1)
+        if c >= r:
+            c += 1
+        mat = matmul(unit_shear(size, r, c, rng.choice((-3, -2, -1, 1, 2, 3))), mat)
+    return mat
 
 
 def det(matrix) -> Fraction:
@@ -199,7 +226,7 @@ def test_mode_transform_identity_and_composition():
     arr = HyperArray.random_int(SHAPE, rng)
     for mode in (1, 2, 3):
         size = SHAPE[mode - 1]
-        ident = ModeMatrix.identity(mode, size)
+        ident = ModeMatrix(mode, identity(size))
         assert mode_transform(arr, ident) == arr
         g = ModeMatrix(mode, random_unimodular(size, rng))
         h = ModeMatrix(mode, random_unimodular(size, rng))
@@ -229,7 +256,7 @@ def test_mode_transform_diagonal_scales_one_slice():
 def test_mode_transform_size_mismatch():
     arr = HyperArray.zeros(SHAPE)
     with pytest.raises(ShapeMismatchError):
-        mode_transform(arr, ModeMatrix.identity(1, 3))
+        mode_transform(arr, ModeMatrix(1, identity(3)))
 
 
 def test_random_unimodular_is_determinant_one():
@@ -240,6 +267,14 @@ def test_random_unimodular_is_determinant_one():
             assert det(mat) == 1
             assert all(v.denominator == 1 for row in mat for v in row)
     assert random_unimodular(1, rng) == ((Fraction(1),),)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_random_unimodular_is_the_shear_product(size):
+    rows, full = Random(size), Random(size)
+    for _ in range(200):
+        assert random_unimodular(size, rows) == shear_product(size, full)
+    assert rows.random() == full.random()  # the same draws, in the same order
 
 
 def test_invariance_of_the_invariant():

@@ -389,6 +389,28 @@ def test_verify_paper_corrupted_fixture_fails(capsys, monkeypatch):
                 assert "0/1 checks passed" in err
 
 
+def bump_weight0(row: int):
+    """A DIM_TABLE corruption: add 1 to the weight-zero column of one row."""
+
+    def corrupt(table):
+        bumped = (table[row][0], table[row][1] + 1) + table[row][2:]
+        return table[:row] + (bumped,) + table[row + 1 :]
+
+    return corrupt
+
+
+@pytest.mark.parametrize("row", [0, 16])
+def test_dims_verify_conjecture_corrupted_table(capsys, monkeypatch, row):
+    monkeypatch.setattr(reference, "DIM_TABLE", bump_weight0(row)(reference.DIM_TABLE))
+    code, out, _ = run(capsys, "dims", *SHAPE_FLAGS, "--verify-conjecture")
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["ok"] is False
+    assert [e["n"] for e in doc["entries"] if not e["match"]] == [6 * row]
+    (weight0,) = [i for i in doc["interpolation"] if i["column"] == "weight0"]
+    assert "off the interpolated curve" in weight0["error"]
+
+
 def test_usage_errors_and_help(capsys):
     assert main(["no-such-command"]) == 4
     capsys.readouterr()

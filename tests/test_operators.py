@@ -54,6 +54,28 @@ def test_weight_shifts():
         weight_shift(SHAPE, RaisingOp(3, 3))
 
 
+# Not operators of (2, 2, 3): mode outside 1..3, or step outside 1..d_m - 1.
+INVALID_OPS = [
+    RaisingOp(0, 1),
+    RaisingOp(1, 0),
+    RaisingOp(3, -1),
+    RaisingOp(4, 1),
+    RaisingOp(1, 2),
+    RaisingOp(3, 3),
+]
+
+
+@pytest.mark.parametrize("op", INVALID_OPS, ids=str)
+def test_invalid_raising_ops_refused(op):
+    ones = (1,) * 12
+    with pytest.raises(ValueError):
+        weight_shift(SHAPE, op)
+    with pytest.raises(ValueError):
+        raise_monomial(SHAPE, op, ones)
+    with pytest.raises(ValueError):
+        apply_raising(op, IntPolynomial.monomial(SHAPE, ones))
+
+
 def test_raise_monomial_moves_one_unit():
     # x112 -> x111 under the first frontal raise, coefficient = source exponent
     x112 = exps_from_digits("000010000000")
