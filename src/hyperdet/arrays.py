@@ -81,11 +81,6 @@ class HyperArray:
         object.__setattr__(self, "flat", flat)
 
     @classmethod
-    def zeros(cls, shape) -> HyperArray:
-        shape = check_shape(shape)
-        return cls(shape, (Fraction(0),) * cell_count(shape))
-
-    @classmethod
     def from_slices(cls, shape, slices) -> HyperArray:
         """Build from nested lists: slices[k-1][i-1][j-1]."""
         shape = check_shape(shape)
@@ -97,12 +92,9 @@ class HyperArray:
         return cls(shape, tuple(slices[k - 1][i - 1][j - 1] for i, j, k in cells(shape)))
 
     @classmethod
-    def random_int(cls, shape, rng: Random, lo: int = -5, hi: int = 5) -> HyperArray:
+    def random_int(cls, shape, rng: Random) -> HyperArray:
         shape = check_shape(shape)
-        return cls(
-            shape,
-            tuple(Fraction(rng.randint(lo, hi)) for _ in range(cell_count(shape))),
-        )
+        return cls(shape, tuple(Fraction(rng.randint(-5, 5)) for _ in range(cell_count(shape))))
 
     def item(self, i: int, j: int, k: int) -> Fraction:
         """Entry at (i, j, k), 1-based indices."""
@@ -279,11 +271,6 @@ def array_from_json_bytes(data: bytes | str) -> HyperArray:
     with malformed("array"):
         doc = json.loads(data)
         return HyperArray.from_slices(doc["shape"], doc["slices"])
-
-
-def mode_matrix_to_json_bytes(matrix: Matrix) -> bytes:
-    doc = {"matrix": [[_entry_out(v) for v in row] for row in matrix]}
-    return json_line(doc)
 
 
 def mode_matrix_from_json_bytes(data: bytes | str) -> Matrix:

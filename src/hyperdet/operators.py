@@ -8,8 +8,9 @@ the same mode.
 
 A polynomial is invariant exactly when every raising operator kills it, so
 invariants of a given degree are the integer nullspace of the stacked
-operator matrix on the weight-zero space.  The matrix has a few nonzeros
-per row and is stored as sparse rows.  Its kernel is computed modulo
+operator matrix on the weight-zero space, the only space enumerated: each
+operator's rows are the images of its monomials.  The matrix has a few
+nonzeros per row and is stored as sparse rows.  Its kernel is computed modulo
 word-size primes and lifted to the rationals, and `integer_kernel` returns
 it only with an exact certificate over the integers, so the rank, nullity
 and primitive kernel vectors are exact at any size, and the basis is the
@@ -24,7 +25,7 @@ from fractions import Fraction
 from itertools import islice
 from math import gcd, isqrt, lcm
 
-from .polynomials import IntPolynomial, Shape, check_shape, fibers, json_line
+from .polynomials import Exponents, IntPolynomial, Shape, check_shape, fibers, json_line
 from .weights import (
     Weight,
     WeightSpaceBasis,
@@ -100,23 +101,20 @@ def _raise(pairs, exps: tuple[int, ...]):
             yield e, tuple(moved)
 
 
-def raise_monomial(shape, op: RaisingOp, exps) -> list[tuple[int, tuple[int, ...]]]:
-    """Image of a single monomial: list of (coefficient, exponents), in the
-    flat order of the cell each unit moves from."""
-    return list(_raise(_transfer_pairs(check_shape(shape), op), tuple(exps)))
-
-
 def apply_raising(op: RaisingOp, poly: IntPolynomial) -> IntPolynomial:
-    """Operator applied term by term to a polynomial."""
+    """Operator applied term by term; refuses an operator the shape lacks, even on zero."""
+    pairs = _transfer_pairs(poly.shape, op)
     terms = []
     for exps, coeff in poly:
-        for e, moved in raise_monomial(poly.shape, op, exps):
+        for e, moved in _raise(pairs, exps):
             terms.append((moved, coeff * e))
     return IntPolynomial(poly.shape, terms)
 
 
 @dataclass(frozen=True)
 class OperatorBlock:
+    """An operator's rows, from `row_offset`; its codomain is the images of the domain."""
+
     op: RaisingOp
     codomain: WeightSpaceBasis
     row_offset: int
@@ -149,7 +147,13 @@ class OperatorMatrix:
 def assemble_matrix(shape, n: int) -> OperatorMatrix:
     """Build the stacked raising-operator matrix on the weight-zero space of
     degree n, the only weight space that can hold invariants.  Operator i
-    maps it into the space of weight `weight_shift(shape, op_i)`.
+    maps it onto the space of weight `weight_shift(shape, op_i)`, whose basis
+    is therefore the images, in canonical order, and is never enumerated.
+    Onto: for U_{m,t} and a monomial m' of that weight, slice t of mode m
+    has sum s+1 >= 1, so some cell in it has a positive exponent; moving a
+    unit from it to slice t+1 of its fiber gives a weight-zero monomial that
+    U_{m,t} maps to m' with coefficient >= 1.  No coefficient is negative,
+    so nothing cancels and no row is empty.
     """
     shape = check_shape(shape)
     domain = enumerate_basis(shape, n, zero_weight(shape))
@@ -157,20 +161,17 @@ def assemble_matrix(shape, n: int) -> OperatorMatrix:
     blocks: list[OperatorBlock] = []
     rows: list[SparseRow] = []
     for op in raising_ops(shape):
-        codomain = enumerate_basis(shape, n, weight_shift(shape, op))
-        blocks.append(OperatorBlock(op, codomain, len(rows)))
-        if not len(codomain):
-            continue
-        index = codomain.index_map()
         pairs = _transfer_pairs(shape, op)
-        # Columns are visited in increasing order, so each row dict keeps
-        # its entries sorted by column.
-        block: list[dict[int, int]] = [{} for _ in range(len(codomain))]
+        # image -> {column: coefficient}, sorted by column as columns are
+        # visited in order; one monomial's images are all distinct.
+        images: dict[Exponents, dict[int, int]] = {}
         for c, mono in enumerate(domain.monomials):
             for coeff, moved in _raise(pairs, mono):
-                row = block[index[moved]]
-                row[c] = row.get(c, 0) + coeff
-        rows.extend(tuple(row.items()) for row in block)
+                images.setdefault(moved, {})[c] = coeff
+        monos = tuple(sorted(images, reverse=True))
+        codomain = WeightSpaceBasis(shape, n, weight_shift(shape, op), monos)
+        blocks.append(OperatorBlock(op, codomain, len(rows)))
+        rows.extend(tuple(images[m].items()) for m in monos)
     return OperatorMatrix(
         shape=shape,
         degree=n,

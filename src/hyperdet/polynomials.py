@@ -30,13 +30,13 @@ Two serializations are provided:
       {"shape":[2,2,3],"terms":[{"exps":[2,0,...,2],"coeff":"1"},...]}
   with terms in canonical order and coefficients as decimal strings so that
   files stay parseable regardless of word size;
-* letter text, writing the variables as consecutive lowercase letters in
-  flat order (a..l for shape (2, 2, 3)), one term per line, e.g.
-  "+ a^2 f g l^2".  Available for any shape with at most 26 cells.
+* letter text, a display that is written but never read: the variables as
+  consecutive lowercase letters in flat order (a..l for shape (2, 2, 3)),
+  one term per line, e.g. "+ a^2 f g l^2", for shapes of at most 26 cells.
 
-Every value read from outside (JSON, letter text, digit strings, command
-line flags) passes one of two integer rules defined here: `parse_int` for
-text and `check_int` for JSON or API values.  Nothing is coerced.
+Every value read from outside (JSON, digit strings, command line flags)
+passes one of two integer rules defined here: `parse_int` for text and
+`check_int` for JSON or API values.  Nothing is coerced.
 """
 
 from __future__ import annotations
@@ -298,50 +298,3 @@ def to_letter_text(p: IntPolynomial) -> str:
     if p.is_zero:
         return "0\n"
     return "".join(term_to_letters(e, c, letters) + "\n" for e, c in p.terms)
-
-
-def from_letter_text(text: str, shape=(2, 2, 3)) -> IntPolynomial:
-    """Parse letter text back into a polynomial of the given shape.
-
-    Whitespace and line breaks are insignificant; every term must start with
-    an explicit sign.  A magnitude or power is a text integer >= 1, and a
-    variable token is one letter of the shape, optionally with '^' and a
-    power.  "0" parses to the zero polynomial.
-    """
-    shape = check_shape(shape)
-    index = {letter: pos for pos, letter in enumerate(letters_for(shape))}
-    tokens = text.split()
-    if tokens == ["0"]:
-        return IntPolynomial.zero(shape)
-    terms: list[tuple[Exponents, int]] = []
-    pos = 0
-    while pos < len(tokens):
-        sign_tok = tokens[pos]
-        if sign_tok not in ("+", "-"):
-            raise ValueError(f"expected sign, got {sign_tok!r}")
-        sign = 1 if sign_tok == "+" else -1
-        pos += 1
-        magnitude = 1
-        if pos < len(tokens) and _TEXT_INT.fullmatch(tokens[pos]):
-            magnitude = _positive(tokens[pos], "magnitude")
-            pos += 1
-        exps = [0] * len(index)
-        while pos < len(tokens) and tokens[pos] not in ("+", "-"):
-            tok = tokens[pos]
-            letter, caret, power = tok.partition("^")
-            if letter not in index:
-                raise ValueError(f"bad variable token {tok!r}")
-            exps[index[letter]] += _positive(power, f"power in {tok!r}") if caret else 1
-            pos += 1
-        if not any(exps):
-            raise ValueError("term with no variables")
-        terms.append((tuple(exps), sign * magnitude))
-    return IntPolynomial(shape, terms)
-
-
-def _positive(text: str, what: str) -> int:
-    """A magnitude or a power in letter text: a text integer >= 1."""
-    value = parse_int(text) if _TEXT_INT.fullmatch(text) else 0
-    if value < 1:
-        raise ValueError(f"{what} must be an integer >= 1, got {text!r}")
-    return value

@@ -131,10 +131,14 @@ def _check_codomains(seed: int) -> str:
     sizes = tuple(len(b.codomain) for b in matrix.blocks)
     _require(sizes == (63, 63, 60, 60), f"block sizes {sizes} != (63, 63, 60, 60)")
     for block in matrix.blocks:
-        counted = count_dim((2, 2, 3), 6, block.codomain.weight)
+        weight = block.codomain.weight
         _require(
-            counted == len(block.codomain),
-            f"count_dim disagrees with enumeration at weight {block.codomain.weight}",
+            enumerate_basis((2, 2, 3), 6, weight).monomials == block.codomain.monomials,
+            f"operator images differ from enumeration at weight {weight}",
+        )
+        _require(
+            count_dim((2, 2, 3), 6, weight) == len(block.codomain),
+            f"count_dim disagrees with enumeration at weight {weight}",
         )
     return "codomain dimensions 63, 63, 60, 60"
 
@@ -404,15 +408,14 @@ def _check_cayley(seed: int) -> str:
 @_register("dims-table")
 def _check_dims_table(seed: int) -> str:
     start = time.perf_counter()
-    for row in reference.DIM_TABLE:
-        n = row[0]
-        for weight, col in TABLE_COLUMNS.values():
-            got = count_dim((2, 2, 3), n, weight)
-            _require(
-                got == row[col],
-                f"count_dim(n={n}, weight={weight}) = {got}, table says {row[col]}",
-            )
+    report = verify_table((2, 2, 3))
     _require_within(start, 60.0, f"{len(TABLE_COLUMNS) * len(reference.DIM_TABLE)} count_dim lookups")
+    for e in sorted(report.entries, key=lambda e: e.n):
+        _require(
+            e.counted == e.fixture,
+            f"count_dim(n={e.n}, weight={TABLE_COLUMNS[e.column][0]}) = {e.counted}, "
+            f"table says {e.fixture}",
+        )
     for n in (6, 12):
         for weight, _ in TABLE_COLUMNS.values():
             counted = count_dim((2, 2, 3), n, weight)

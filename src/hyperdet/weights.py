@@ -113,9 +113,6 @@ class WeightSpaceBasis:
     def __len__(self) -> int:
         return len(self.monomials)
 
-    def index_map(self) -> dict[Exponents, int]:
-        return {m: i for i, m in enumerate(self.monomials)}
-
 
 def enumerate_basis(shape, n: int, weight) -> WeightSpaceBasis:
     """List all degree-n monomials of the given weight, in canonical order.

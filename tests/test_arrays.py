@@ -16,13 +16,14 @@ from hyperdet.arrays import (
     evaluate,
     invariance_check,
     mode_matrix_from_json_bytes,
-    mode_matrix_to_json_bytes,
     mode_transform,
     random_unimodular,
 )
 from hyperdet.operators import find_invariant
 from hyperdet.polynomials import IntPolynomial
 from hyperdet.verify import fixture_invariant
+
+from helpers import mode_matrix_to_json_bytes, zeros
 
 SHAPE = (2, 2, 3)
 LETTER_VALUES = "abcdefghijkl"
@@ -122,7 +123,7 @@ def test_array_construction_and_access():
     assert arr.item(2, 2, 3) == 12
     assert arr.flat == tuple(Fraction(v) for v in range(1, 13))
     assert arr.slices()[2][0][1] == 10
-    assert HyperArray.zeros(SHAPE).flat == (Fraction(0),) * 12
+    assert zeros(SHAPE).flat == (Fraction(0),) * 12
 
 
 def test_array_validation():
@@ -132,7 +133,7 @@ def test_array_validation():
         HyperArray(SHAPE, (0.5,) * 12)
     with pytest.raises(ValueError):
         HyperArray.from_slices(SHAPE, [[[1, 2], [3, 4]]])
-    arr = HyperArray.zeros(SHAPE)
+    arr = zeros(SHAPE)
     with pytest.raises(AttributeError):
         arr.flat = ()
 
@@ -180,7 +181,7 @@ def test_array_json_malformed(bad):
 
 
 def test_evaluate_zero_array():
-    assert evaluate(fixture_invariant(), HyperArray.zeros(SHAPE)) == 0
+    assert evaluate(fixture_invariant(), zeros(SHAPE)) == 0
 
 
 def test_evaluate_single_surviving_terms():
@@ -218,7 +219,7 @@ def test_evaluate_linear_and_shape_checked():
         arr = HyperArray.random_int(SHAPE, rng)
         assert evaluate(p + q, arr) == evaluate(p, arr) + evaluate(q, arr)
     with pytest.raises(ShapeMismatchError):
-        evaluate(p, HyperArray.zeros((2, 2, 2)))
+        evaluate(p, zeros((2, 2, 2)))
 
 
 def test_mode_transform_identity_and_composition():
@@ -254,7 +255,7 @@ def test_mode_transform_diagonal_scales_one_slice():
 
 
 def test_mode_transform_size_mismatch():
-    arr = HyperArray.zeros(SHAPE)
+    arr = zeros(SHAPE)
     with pytest.raises(ShapeMismatchError):
         mode_transform(arr, ModeMatrix(1, identity(3)))
 

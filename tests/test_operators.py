@@ -1,7 +1,7 @@
 """Raising operators, matrix assembly, and the exact integer kernel."""
 
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import isqrt
 from random import Random
 
@@ -17,13 +17,14 @@ from hyperdet.operators import (
     integer_kernel,
     matrix_to_json_bytes,
     primitive_vector,
-    raise_monomial,
     raising_ops,
     weight_shift,
 )
 from hyperdet.polynomials import IntPolynomial, exps_from_digits, from_json_bytes
 from hyperdet.verify import _rref_kernel
-from hyperdet.weights import weight_of
+from hyperdet.weights import enumerate_basis, weight_of
+
+from helpers import index_map, raise_monomial
 
 SHAPE = (2, 2, 3)
 
@@ -74,6 +75,8 @@ def test_invalid_raising_ops_refused(op):
         raise_monomial(SHAPE, op, ones)
     with pytest.raises(ValueError):
         apply_raising(op, IntPolynomial.monomial(SHAPE, ones))
+    with pytest.raises(ValueError):
+        apply_raising(op, IntPolynomial.zero(SHAPE))
 
 
 def test_raise_monomial_moves_one_unit():
@@ -123,6 +126,39 @@ def test_matrix_dimensions():
     assert offsets == [0, 63, 126, 186]
 
 
+CODOMAIN_CASES = [
+    (shape, n) for shape in product((1, 2, 3), repeat=3) for n in range(5)
+] + [((2, 2, 3), 6), ((2, 2, 3), 12), ((3, 3, 3), 6)]
+
+
+def test_codomains_are_the_enumerated_weight_spaces():
+    """The operator images of the weight-zero basis are exactly the shifted
+    weight space, in canonical order, one nonempty row per monomial."""
+    for shape, n in CODOMAIN_CASES:
+        matrix = assemble_matrix(shape, n)
+        offset = 0
+        for block in matrix.blocks:
+            expected = enumerate_basis(shape, n, weight_shift(shape, block.op))
+            assert block.codomain == expected, (shape, n, block.op)
+            assert block.row_offset == offset, (shape, n, block.op)
+            offset += len(block.codomain)
+        assert offset == matrix.nrows
+        assert all(matrix.rows), (shape, n)
+
+
+def test_assemble_matrix_enumerates_only_the_domain(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return enumerate_basis(*args)
+
+    monkeypatch.setattr(operators, "enumerate_basis", spy)
+    matrix = assemble_matrix(SHAPE, 6)
+    assert calls == [(SHAPE, 6, (0, 0, 0, 0))]
+    assert (matrix.nrows, matrix.ncols) == (246, 80)
+
+
 def test_matrix_zero_degree():
     matrix = assemble_matrix(SHAPE, 0)
     assert (matrix.nrows, matrix.ncols) == (0, 1)
@@ -140,7 +176,7 @@ def test_matrix_columns_match_operator_application():
         column = [dict(row).get(c, 0) for row in matrix.rows]
         expected = [0] * matrix.nrows
         for block in matrix.blocks:
-            index = block.codomain.index_map()
+            index = index_map(block.codomain)
             image = apply_raising(
                 block.op, IntPolynomial.monomial(SHAPE, mono)
             )

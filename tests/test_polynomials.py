@@ -12,12 +12,13 @@ from hyperdet.polynomials import (
     exps_to_digits,
     flat_index,
     from_json_bytes,
-    from_letter_text,
     letters_for,
     term_to_letters,
     to_json_bytes,
     to_letter_text,
 )
+
+from helpers import from_letter_text
 
 SHAPE = (2, 2, 3)
 

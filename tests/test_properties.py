@@ -33,11 +33,12 @@ from hyperdet.polynomials import (
     fibers,
     flat_index,
     from_json_bytes,
-    from_letter_text,
     to_json_bytes,
     to_letter_text,
 )
 from hyperdet.weights import mode_slice_sums
+
+from helpers import from_letter_text
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=40)

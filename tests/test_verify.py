@@ -1,6 +1,7 @@
 """Verification battery: one acceptance test per registered check, plus the
 registry, oracles and failure reporting."""
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import count
 from types import SimpleNamespace
@@ -30,6 +31,20 @@ def test_timing_gates_fail_slow_runs(monkeypatch):
     for name in ("basis-monomials", "matrix-kernel", "dims-table"):
         (result,) = verify.run_checks(only=name)
         assert not result.ok and "took 100.000s" in result.detail
+
+
+def test_codomain_check_cross_checks_enumeration(monkeypatch):
+    # the enumerator drops the last monomial of the weight (2, 0, 0, 0) space
+    def short(shape, n, weight):
+        basis = enumerate_basis(shape, n, weight)
+        if weight != (2, 0, 0, 0):
+            return basis
+        return replace(basis, monomials=basis.monomials[:-1])
+
+    monkeypatch.setattr(verify, "enumerate_basis", short)
+    (result,) = verify.run_checks(only="codomain-dimensions")
+    assert not result.ok
+    assert "weight (2, 0, 0, 0)" in result.detail
 
 
 def test_check_registry():

@@ -19,6 +19,8 @@ from hyperdet.weights import (
     zero_weight,
 )
 
+from helpers import index_map
+
 SHAPE = (2, 2, 3)
 
 
@@ -104,7 +106,7 @@ def test_basis_is_golden_80():
     for m in basis.monomials:
         assert sum(m) == 6
         assert weight_of(SHAPE, m) == (0, 0, 0, 0)
-    index = basis.index_map()
+    index = index_map(basis)
     assert index[exps_from_digits("200001100002")] == 1
 
 
