@@ -10,11 +10,11 @@ A polynomial is invariant exactly when every raising operator kills it, so
 invariants of a given degree are the integer nullspace of the stacked
 operator matrix on the weight-zero space, the only space enumerated: each
 operator's rows are the images of its monomials.  The matrix has a few
-nonzeros per row and is stored as sparse rows.  Its kernel is computed modulo
-word-size primes and lifted to the rationals, and `integer_kernel` returns
-it only with an exact certificate over the integers, so the rank, nullity
-and primitive kernel vectors are exact at any size, and the basis is the
-one exact elimination over Q gives.
+nonzeros per row and is stored as sparse rows.  `integer_kernel` computes
+its kernel by sparse fraction-free elimination over the integers and returns
+it only with an exact certificate, so the rank, nullity and primitive kernel
+vectors are exact at any size, and the basis is the one exact elimination
+over Q gives.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .polynomials import Exponents, IntPolynomial, Shape, check_shape, fibers, json_line
 from .weights import (
@@ -206,133 +205,6 @@ def primitive_vector(vec) -> tuple[int, ...]:
     return tuple(ints)
 
 
-# Every prime the kernel works modulo lies in (2**29, 2**30): each one fits
-# in a single 30-bit digit of a Python int.
-_PRIME_BITS = 29
-
-
-def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; bases 2, 3, 5, 7 decide every n < 3.2e9."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7):
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _primes():
-    """The primes in (2**29, 2**30) in descending order: the fixed sequence
-    of moduli the kernel tries."""
-    n = 1 << (_PRIME_BITS + 1)
-    while n > 1 << _PRIME_BITS:
-        n -= 1
-        if _is_prime(n):
-            yield n
-
-
-def _prime_budget(rows, ncols: int) -> int:
-    """How many primes the kernel may try before it gives up.
-
-    Every minor of the matrix is at most H, the product of the min(rows,
-    cols) largest row norms (Hadamard).  A kernel vector scaled to 1 at its
-    free column has entries n/d with |n|, d <= H, so rational reconstruction
-    recovers it once the primes multiply past 2 H**2.  A prime gives a
-    different rank or free-column set only if it divides one nonzero minor,
-    so at most log H / 29 primes are unlucky.  The budget covers both.
-    """
-    norms = sorted((sum(v * v for _, v in row) for row in rows), reverse=True)
-    hbits = sum((s.bit_length() + 1) // 2 for s in norms[:ncols])
-    return (3 * hbits + 2) // _PRIME_BITS + 2
-
-
-def _kernel_mod(rows, ncols: int, p: int):
-    """Rank, pivot columns and kernel vectors of the matrix modulo p.
-
-    Rows are reduced into a sparse echelon form one at a time.  The set of
-    leading columns of any echelon form depends only on the row space, so
-    it is the greedy pivot-column set whatever order the rows arrive in.
-    The vector for free column f is 1 at f, 0 on the other free columns,
-    and solved by back substitution on the pivots left of f; it is returned
-    as a {column: residue} dict.
-    """
-    echelon: dict[int, dict[int, int]] = {}  # leading column -> row, lead 1
-    for row in rows:
-        if len(echelon) == ncols:
-            break  # full column rank: every further row reduces to zero
-        r = {c: v % p for c, v in row if v % p}
-        while r:
-            lead = min(r)
-            piv = echelon.get(lead)
-            if piv is None:
-                inv = pow(r[lead], -1, p)
-                echelon[lead] = {c: v * inv % p for c, v in r.items()}
-                break
-            f = r[lead]
-            for c, v in piv.items():
-                x = (r.get(c, 0) - f * v) % p
-                if x:
-                    r[c] = x
-                else:
-                    r.pop(c, None)
-    pivots = sorted(echelon)
-    free = [c for c in range(ncols) if c not in echelon]
-    vectors = []
-    for f in free:
-        x = {f: 1}
-        for lead in reversed(pivots[: bisect_left(pivots, f)]):
-            s = sum(v * x[c] for c, v in echelon[lead].items() if c in x)
-            if s % p:
-                x[lead] = -s % p
-        vectors.append(x)
-    return tuple(pivots), free, vectors
-
-
-def _rational(a: int, m: int, bound: int) -> Fraction | None:
-    """The fraction n/d = a (mod m) with |n| <= bound and 0 < d <= bound.
-
-    Half-extended Euclid on (m, a); when 2 bound**2 < m the answer is
-    unique, and None means there is none.
-    """
-    r0, r1, t0, t1 = m, a % m, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if not 0 < abs(t1) <= bound or gcd(r1, t1) != 1:
-        return None
-    return Fraction(r1, t1)
-
-
-def _reconstruct(lifted, ncols: int, modulus: int):
-    """Primitive integer vectors from residue dicts mod `modulus`, or None
-    if some entry has no fraction within the reconstruction bound."""
-    bound = isqrt(modulus // 2)
-    basis = []
-    for acc in lifted:
-        vec: list[int | Fraction] = [0] * ncols
-        for c, x in acc.items():
-            q = _rational(x, modulus, bound)
-            if q is None:
-                return None
-            vec[c] = q
-        basis.append(primitive_vector(vec))
-    return tuple(basis)
-
-
 def _certified(rows, ncols: int, free, vectors) -> bool:
     """The exact certificate for candidate kernel vectors over the integers.
 
@@ -357,45 +229,75 @@ def _certified(rows, ncols: int, free, vectors) -> bool:
 def integer_kernel(rows, ncols: int) -> KernelResult:
     """Exact rank and primitive kernel basis of a sparse integer matrix.
 
-    `rows` holds each row as (column, value) pairs.  The basis has one
-    vector per free column (a column that is a combination of the columns
-    to its left), ordered by free column, each primitive with its first
-    nonzero entry positive.
+    `rows` holds each row as (column, value) pairs; zero values are ignored.
+    The basis has one vector per free column (a column that is a combination
+    of the columns to its left), ordered by free column, each primitive with
+    its first nonzero entry positive.
 
-    The kernel is computed modulo word-size primes, joined by CRT and
-    rational reconstruction (Dixon 1982), and returned only with a proof:
-    every vector is annihilated by the matrix over the integers, there are
-    ncols - rank_p of them, and each is nonzero on its own free column and
-    zero on the other free columns and to its right.  Since rank_p <= rank
-    over Q, independent kernel vectors that many prove the nullity, and the
-    shape of each vector proves its column is free over Q as well, so the
-    basis is the one exact elimination over Q gives.  A prime of lower rank,
-    or of the same rank with later pivots, is discarded; a higher rank or
-    earlier pivots restart the lift.  Raises ArithmeticError if the prime
-    budget runs out, which the Hadamard bound rules out.
+    Fraction-free elimination (Bareiss 1968) over the integers, on sparse
+    rows, shortest first.  A row is reduced at its smallest column against
+    the echelon row leading there: by an integer multiple of it when its lead
+    divides the entry, else after scaling the row by lead/g (g their gcd).
+    A row that reaches a new leading column is divided by its content, made
+    positive at its lead and stored.  The vector for free column f starts as
+    1 at f and is solved by integer back-substitution over the pivots left of
+    f, right to left, scaling the whole vector where a lead does not divide.
+
+    The basis is the one elimination over Q gives: the leading columns of any
+    echelon form depend only on the row space, and the kernel vector that is
+    1 at f, 0 on the other free columns and 0 right of f is unique up to
+    scale, so its primitive form is unique too.  `_certified` proves that
+    shape and the annihilation of every row over the integers before the
+    result is returned; ArithmeticError means it did not, which only an
+    elimination bug can cause.
     """
+    echelon: dict[int, dict[int, int]] = {}  # leading column -> row, lead > 0
     rows = sorted(rows, key=len)
-    best = None  # (-rank, pivots) of the primes being joined
-    modulus = 1
-    lifted: list[dict[int, int]] = []
-    for p in islice(_primes(), _prime_budget(rows, ncols)):
-        pivots, free, vectors = _kernel_mod(rows, ncols, p)
-        key = (-len(pivots), pivots)
-        if best is not None and key > best:
-            continue
-        if key != best:
-            best, modulus, lifted = key, 1, [{} for _ in free]
-        # CRT: fold the residues mod p into the residues mod `modulus`.
-        step = pow(modulus, -1, p)
-        for acc, vec in zip(lifted, vectors):
-            for c in acc.keys() | vec.keys():
-                x = acc.get(c, 0)
-                acc[c] = x + modulus * ((vec.get(c, 0) - x) * step % p)
-        modulus *= p
-        basis = _reconstruct(lifted, ncols, modulus)
-        if basis is not None and _certified(rows, ncols, free, basis):
-            return KernelResult(rank=len(pivots), nullity=len(free), basis=basis)
-    raise ArithmeticError(f"kernel of a {len(rows)}x{ncols} matrix not certified")
+    for row in rows:
+        if len(echelon) == ncols:
+            break  # full column rank: every further row reduces to zero
+        r = {c: v for c, v in row if v}
+        while r:
+            lead = min(r)
+            b = r[lead]
+            piv = echelon.get(lead)
+            if piv is None:
+                g = gcd(*r.values())
+                g = -g if b < 0 else g
+                echelon[lead] = {c: v // g for c, v in r.items()}
+                break
+            a = piv[lead]
+            g = gcd(a, b)
+            if g != a:  # a does not divide b: scale the row by a/g first
+                r = {c: a // g * v for c, v in r.items()}
+            q = b // g
+            for c, v in piv.items():
+                x = r.get(c, 0) - q * v
+                if x:
+                    r[c] = x
+                else:
+                    r.pop(c, None)
+    pivots = sorted(echelon)
+    free = [c for c in range(ncols) if c not in echelon]
+    basis = []
+    for f in free:
+        x = {f: 1}
+        for lead in reversed(pivots[: bisect_left(pivots, f)]):
+            piv = echelon[lead]
+            s = sum(v * x[c] for c, v in piv.items() if c in x)
+            if s:
+                d = piv[lead]
+                g = gcd(s, d)
+                if g != d:  # d does not divide s: scale x by d/g first
+                    x = {c: d // g * v for c, v in x.items()}
+                x[lead] = -s // g
+        vec = [0] * ncols
+        for c, v in x.items():
+            vec[c] = v
+        basis.append(primitive_vector(vec))
+    if not _certified(rows, ncols, free, basis):
+        raise ArithmeticError(f"kernel of a {len(rows)}x{ncols} matrix not certified")
+    return KernelResult(rank=len(pivots), nullity=len(free), basis=tuple(basis))
 
 
 def exact_kernel(matrix: OperatorMatrix) -> KernelResult:

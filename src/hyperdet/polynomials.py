@@ -101,8 +101,11 @@ def cell_count(shape: Shape) -> int:
 
 
 def flat_index(shape: Shape, i: int, j: int, k: int) -> int:
-    """Flat position of cell (i, j, k), 1-based indices."""
-    a, b, _ = shape
+    """Flat position of cell (i, j, k), 1-based indices; IndexError for a
+    cell outside the shape."""
+    a, b, c = shape
+    if not (0 < i <= a and 0 < j <= b and 0 < k <= c):
+        raise IndexError(f"cell {(i, j, k)} is outside shape {shape}")
     return ((k - 1) * a + (i - 1)) * b + (j - 1)
 
 
@@ -173,23 +176,9 @@ class IntPolynomial:
     def zero(cls, shape) -> "IntPolynomial":
         return cls(shape)
 
-    @classmethod
-    def monomial(cls, shape, exps: Exponents, coeff: int = 1) -> "IntPolynomial":
-        return cls(shape, [(tuple(exps), coeff)])
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def coefficient(self, exps: Exponents) -> int:
-        exps = tuple(exps)
-        for e, c in self.terms:
-            if e == exps:
-                return c
-        return 0
-
-    def monomials(self) -> tuple[Exponents, ...]:
-        return tuple(e for e, _ in self.terms)
 
     def _require_same_shape(self, other: "IntPolynomial") -> None:
         if self.shape != other.shape:

@@ -4,6 +4,8 @@
 display back into a polynomial, `mode_matrix_to_json_bytes` writes a mode
 matrix as JSON, `index_map` maps a basis's monomials to their positions, and
 `raise_monomial` applies a raising operator to a single monomial.
+`monomial` builds a one-term polynomial, `coefficient` reads the coefficient
+of one monomial, and `monomials` lists a polynomial's monomials in order.
 """
 
 from __future__ import annotations
@@ -43,6 +45,22 @@ def raise_monomial(shape, op: RaisingOp, exps) -> list[tuple[int, tuple[int, ...
     """Image of a single monomial: list of (coefficient, exponents), in the
     flat order of the cell each unit moves from."""
     return list(_raise(_transfer_pairs(check_shape(shape), op), tuple(exps)))
+
+
+def monomial(shape, exps: Exponents, coeff: int = 1) -> IntPolynomial:
+    return IntPolynomial(shape, [(tuple(exps), coeff)])
+
+
+def coefficient(p: IntPolynomial, exps: Exponents) -> int:
+    exps = tuple(exps)
+    for e, c in p.terms:
+        if e == exps:
+            return c
+    return 0
+
+
+def monomials(p: IntPolynomial) -> tuple[Exponents, ...]:
+    return tuple(e for e, _ in p.terms)
 
 
 def from_letter_text(text: str, shape=(2, 2, 3)) -> IntPolynomial:

@@ -23,7 +23,7 @@ from hyperdet.operators import find_invariant
 from hyperdet.polynomials import IntPolynomial
 from hyperdet.verify import fixture_invariant
 
-from helpers import mode_matrix_to_json_bytes, zeros
+from helpers import mode_matrix_to_json_bytes, monomial, zeros
 
 SHAPE = (2, 2, 3)
 LETTER_VALUES = "abcdefghijkl"
@@ -126,6 +126,13 @@ def test_array_construction_and_access():
     assert zeros(SHAPE).flat == (Fraction(0),) * 12
 
 
+@pytest.mark.parametrize("cell", [(0, 1, 1), (3, 1, 1), (1, 3, 1), (1, 1, 0), (1, 1, 4)])
+def test_item_refuses_cells_outside_the_shape(cell):
+    arr = HyperArray(SHAPE, tuple(Fraction(v) for v in range(1, 13)))
+    with pytest.raises(IndexError, match=r"cell \(\d, \d, \d\) is outside shape \(2, 2, 3\)"):
+        arr.item(*cell)
+
+
 def test_array_validation():
     with pytest.raises(ValueError):
         HyperArray(SHAPE, (Fraction(1),) * 11)
@@ -214,7 +221,7 @@ def test_evaluate_matches_display_on_random_arrays():
 def test_evaluate_linear_and_shape_checked():
     rng = Random(53)
     p = fixture_invariant()
-    q = IntPolynomial.monomial(SHAPE, (2,) + (0,) * 11, 5)
+    q = monomial(SHAPE, (2,) + (0,) * 11, 5)
     for _ in range(5):
         arr = HyperArray.random_int(SHAPE, rng)
         assert evaluate(p + q, arr) == evaluate(p, arr) + evaluate(q, arr)
@@ -285,7 +292,7 @@ def test_invariance_of_the_invariant():
 
 def test_non_invariant_fails():
     # x111 changes under a shear adding row 2 into row 1 when x211 != 0
-    x111 = IntPolynomial.monomial(SHAPE, (1,) + (0,) * 11)
+    x111 = monomial(SHAPE, (1,) + (0,) * 11)
     arr = array_from_letters(c=1)  # c is x211
     shear = ModeMatrix(1, unit_shear(2, 0, 1, 1))
     assert evaluate(x111, mode_transform(arr, shear)) != evaluate(x111, arr)
@@ -295,7 +302,7 @@ def test_non_invariant_fails():
 
 def test_covariance_exponents():
     assert covariance_exponents(fixture_invariant()) == ((3, 3), (3, 3), (2, 2, 2))
-    const = IntPolynomial.monomial(SHAPE, (0,) * 12, 1)
+    const = monomial(SHAPE, (0,) * 12, 1)
     assert covariance_exponents(const) == ((0, 0), (0, 0), (0, 0, 0))
     cayley = find_invariant((2, 2, 2), 4)
     assert covariance_exponents(cayley) == ((2, 2), (2, 2), (2, 2))

@@ -1,8 +1,7 @@
 """Raising operators, matrix assembly, and the exact integer kernel."""
 
 from fractions import Fraction
-from itertools import islice, product
-from math import isqrt
+from itertools import product
 from random import Random
 
 import pytest
@@ -24,7 +23,7 @@ from hyperdet.polynomials import IntPolynomial, exps_from_digits, from_json_byte
 from hyperdet.verify import _rref_kernel
 from hyperdet.weights import enumerate_basis, weight_of
 
-from helpers import index_map, raise_monomial
+from helpers import index_map, monomial, raise_monomial
 
 SHAPE = (2, 2, 3)
 
@@ -74,7 +73,7 @@ def test_invalid_raising_ops_refused(op):
     with pytest.raises(ValueError):
         raise_monomial(SHAPE, op, ones)
     with pytest.raises(ValueError):
-        apply_raising(op, IntPolynomial.monomial(SHAPE, ones))
+        apply_raising(op, monomial(SHAPE, ones))
     with pytest.raises(ValueError):
         apply_raising(op, IntPolynomial.zero(SHAPE))
 
@@ -99,7 +98,7 @@ def test_apply_raising_shifts_weight():
         shift = weight_shift(SHAPE, op)
         for _ in range(10):
             exps = tuple(rng.randint(0, 2) for _ in range(12))
-            p = IntPolynomial.monomial(SHAPE, exps)
+            p = monomial(SHAPE, exps)
             image = apply_raising(op, p)
             w = weight_of(SHAPE, exps)
             for m, _ in image:
@@ -178,7 +177,7 @@ def test_matrix_columns_match_operator_application():
         for block in matrix.blocks:
             index = index_map(block.codomain)
             image = apply_raising(
-                block.op, IntPolynomial.monomial(SHAPE, mono)
+                block.op, monomial(SHAPE, mono)
             )
             for m, coeff in image:
                 expected[block.row_offset + index[m]] += coeff
@@ -229,6 +228,17 @@ def test_integer_kernel_small_cases():
     for vec in kern.basis:
         assert 2 * vec[0] + 4 * vec[1] + 6 * vec[2] == 0
 
+    # the lead 2 does not divide the back-substituted sum 3: x is rescaled
+    assert integer_kernel([((0, 2), (1, 3))], 2).basis == ((3, -2),)
+
+    # lead 2 does not divide the entry 3 below it: the row is rescaled
+    kern = integer_kernel([((0, 2), (1, 3)), ((0, 3), (2, 1))], 3)
+    assert (kern.rank, kern.nullity, kern.basis) == (2, 1, ((3, -2, -9),))
+
+    # a zero pair is not an entry
+    kern = integer_kernel([((0, 0), (1, 1))], 2)
+    assert (kern.rank, kern.nullity, kern.basis) == (1, 1, ((1, 0),))
+
 
 def assert_matches_oracle(mat, cols):
     kern = integer_kernel(sparse(mat), cols)
@@ -242,7 +252,7 @@ def assert_matches_oracle(mat, cols):
 
 
 def test_integer_kernel_random_matches_rational_oracle():
-    """Modular kernel and a plain Fraction RREF agree on random matrices."""
+    """Integer elimination and a plain Fraction RREF agree on random matrices."""
     rng = Random(37)
     for _ in range(40):
         rows = rng.randint(0, 6)
@@ -252,8 +262,8 @@ def test_integer_kernel_random_matches_rational_oracle():
 
 
 def test_integer_kernel_random_sparse_large_entries():
-    """Entries up to 10**6 give kernel entries far past one prime's
-    reconstruction bound; dependent rows are mixed in so the rank drops."""
+    """Entries up to 10**6 give kernel entries of many digits; dependent
+    rows are mixed in so the rank drops."""
     rng = Random(41)
     for _ in range(30):
         cols = rng.randint(1, 8)
@@ -267,47 +277,18 @@ def test_integer_kernel_random_sparse_large_entries():
         assert_matches_oracle(mat, cols)
 
 
-def test_primes_are_a_fixed_descending_sequence():
-    first = list(islice(operators._primes(), 20))
-    assert first == sorted(set(first), reverse=True)
-    assert all(2**29 < p < 2**30 for p in first)
-    for p in first:
-        assert p % 2 and all(p % q for q in range(3, isqrt(p) + 1, 2))
-    assert first == list(islice(operators._primes(), 20))
-
-
-def counted_primes(monkeypatch):
-    """Patch the prime sequence to record every prime the kernel draws."""
-    drawn = []
-    real = operators._primes
-
-    def recording():
-        for p in real():
-            drawn.append(p)
-            yield p
-
-    monkeypatch.setattr(operators, "_primes", recording)
-    return drawn
-
-
-def test_integer_kernel_rank_drop_mod_first_prime(monkeypatch):
-    """Every entry is a multiple of the first prime: modulo it the matrix is
-    zero, its all-free candidates fail the certificate, and the next prime's
-    higher rank restarts the lift."""
-    p = next(operators._primes())
-    drawn = counted_primes(monkeypatch)
+def test_integer_kernel_rank_drop_mod_first_prime():
+    """Every entry is a multiple of the prime 1073741789, so the matrix is
+    zero modulo it but not over the integers."""
+    p = 1073741789
     for mat in ([[p, 2 * p], [3 * p, 5 * p]], [[p, 2 * p, 3 * p]], [[2 * p, 0, -p], [0, p, p]]):
-        drawn.clear()
         assert_matches_oracle(mat, len(mat[0]))
-        assert len(drawn) == 2
 
 
-def test_integer_kernel_needs_crt_over_two_primes(monkeypatch):
-    """Kernel entry 10**6 is past one prime's bound (about 23170), so the
-    lift joins two primes."""
-    drawn = counted_primes(monkeypatch)
+def test_integer_kernel_needs_crt_over_two_primes():
+    """Kernel entry 10**6 is past the bound one word-size prime could
+    reconstruct (about 23170)."""
     assert_matches_oracle([[1, 10**6]], 2)
-    assert len(drawn) == 2
     assert integer_kernel([((0, 1), (1, 10**6))], 2).basis == ((10**6, -1),)
 
 
@@ -315,23 +296,30 @@ SECOND_PRIME = 1073741783
 
 
 @pytest.mark.parametrize(
-    "mat, draws",
+    "mat",
     [
-        # modulo the second prime row 2 vanishes and the rank drops; the
-        # third prime joins the first, and 10**6 fits their bound
-        ([[1, 0, 10**6], [0, SECOND_PRIME, 5 * SECOND_PRIME]], 3),
-        # modulo the second prime the pivot moves from column 1 to 2; the
-        # kernel entry 1/SECOND_PRIME then needs three lucky primes
-        ([[1, 0, 0], [0, SECOND_PRIME, 1]], 4),
+        # modulo the prime row 2 vanishes and the rank drops
+        pytest.param([[1, 0, 10**6], [0, SECOND_PRIME, 5 * SECOND_PRIME]], id="lower-rank"),
+        # modulo the prime the pivot moves from column 1 to 2; the kernel
+        # entry over Q is 1/SECOND_PRIME before scaling
+        pytest.param([[1, 0, 0], [0, SECOND_PRIME, 1]], id="later-pivot"),
     ],
 )
-def test_integer_kernel_discards_unlucky_second_prime(monkeypatch, mat, draws):
-    """A prime of lower rank, or of equal rank with later pivots, is dropped
-    without discarding the residues already lifted."""
-    assert list(islice(operators._primes(), 2))[1] == SECOND_PRIME
-    drawn = counted_primes(monkeypatch)
+def test_integer_kernel_discards_unlucky_second_prime(mat):
+    """Matrices whose rank or pivots differ modulo the prime 1073741783
+    have the kernel exact elimination over Q gives."""
     assert_matches_oracle(mat, 3)
-    assert len(drawn) == draws
+
+
+@pytest.mark.parametrize("shape, n", [((2, 2, 2), 4), ((2, 2, 2), 8), ((2, 2, 4), 4)])
+def test_integer_kernel_matches_rational_oracle_on_operator_matrices(shape, n):
+    matrix = assemble_matrix(shape, n)
+    dense = [[0] * matrix.ncols for _ in matrix.rows]
+    for out, row in zip(dense, matrix.rows):
+        for c, v in row:
+            out[c] = v
+    kern = integer_kernel(matrix.rows, matrix.ncols)
+    assert list(kern.basis) == _rref_kernel(dense, matrix.ncols)
 
 
 def test_certificate_rejects_each_violation():
@@ -347,9 +335,8 @@ def test_certificate_rejects_each_violation():
 
 
 def test_integer_kernel_gives_up_without_proof(monkeypatch):
-    """With the budget cut to one prime, a matrix that needs two raises
-    instead of returning an unproven kernel."""
-    monkeypatch.setattr(operators, "_prime_budget", lambda rows, ncols: 1)
+    """A kernel the certificate rejects raises instead of being returned."""
+    monkeypatch.setattr(operators, "_certified", lambda rows, ncols, free, vectors: False)
     with pytest.raises(ArithmeticError):
         integer_kernel([((0, 1), (1, 10**6))], 2)
 

@@ -20,6 +20,8 @@ from hyperdet.orbits import (
 from hyperdet.polynomials import IntPolynomial, exps_from_digits, flat_index
 from hyperdet.weights import weight_of
 
+from helpers import coefficient, monomial
+
 SHAPE = (2, 2, 3)
 
 
@@ -118,11 +120,11 @@ def test_signed_orbit_checks_seed_length(seed):
 
 def test_seed_leading_coefficients():
     inv = find_invariant(SHAPE, 6)
-    assert inv.coefficient(seed_exponents("M1")) == 1
-    assert inv.coefficient(seed_exponents("M2")) == -1
-    assert inv.coefficient(seed_exponents("M3")) == 1
-    assert inv.coefficient(seed_exponents("M4")) == 1
-    assert inv.coefficient(seed_exponents("M5")) == -2
+    assert coefficient(inv, seed_exponents("M1")) == 1
+    assert coefficient(inv, seed_exponents("M2")) == -1
+    assert coefficient(inv, seed_exponents("M3")) == 1
+    assert coefficient(inv, seed_exponents("M4")) == 1
+    assert coefficient(inv, seed_exponents("M5")) == -2
     with pytest.raises(KeyError):
         seed_exponents("M6")
 
@@ -150,7 +152,7 @@ def test_transposing_first_two_modes_swaps_middle_orbits():
 
 
 def test_scale_exact_guards_halving():
-    p = IntPolynomial.monomial(SHAPE, (1,) + (0,) * 11, 3)
+    p = monomial(SHAPE, (1,) + (0,) * 11, 3)
     with pytest.raises(ArithmeticError):
         scale_exact(p, Fraction(1, 2))
     assert scale_exact(2 * p, Fraction(1, 2)) == p

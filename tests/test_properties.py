@@ -1,5 +1,5 @@
-"""Property tests: the cell layout, serialization round trips and the CLI
-exit-code contract.
+"""Property tests: the cell layout, serialization round trips, the exact
+kernel and the CLI exit-code contract.
 
 Every example is derandomized and no example database is kept, so the run
 is the same on every machine.  Fuzzed CLI runs never ask for a degree or a
@@ -24,7 +24,7 @@ from hyperdet.arrays import (
     mode_transform,
 )
 from hyperdet.cli import main
-from hyperdet.operators import _transfer_pairs, raising_ops
+from hyperdet.operators import _transfer_pairs, integer_kernel, raising_ops
 from hyperdet.orbits import GroupElement, act
 from hyperdet.polynomials import (
     IntPolynomial,
@@ -36,6 +36,7 @@ from hyperdet.polynomials import (
     to_json_bytes,
     to_letter_text,
 )
+from hyperdet.verify import _rref_kernel
 from hyperdet.weights import mode_slice_sums
 
 from helpers import from_letter_text
@@ -169,6 +170,34 @@ def test_permutation_transform_matches_act(case):
     perms[mode - 1] = perm
     moved_array = HyperArray(arr.shape, act(GroupElement(*perms), arr.flat))
     assert mode_transform(arr, ModeMatrix(mode, matrix)) == moved_array
+
+
+# -- the exact kernel, against a Fraction RREF --------------------------------
+
+
+@st.composite
+def matrices_with_a_dependent_row(draw):
+    """Up to 5 rows of up to 7 integer entries in +-10**6, plus one row that
+    is an integer combination of two of them, inserted at a drawn position."""
+    ncols = draw(st.integers(1, 7))
+    entries = st.integers(-(10**6), 10**6)
+    rows = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), max_size=5))
+    if rows:
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        x, y = draw(st.integers(-9, 9)), draw(st.integers(-9, 9))
+        rows.insert(draw(st.integers(0, len(rows))), [x * u + y * v for u, v in zip(a, b)])
+    return rows, ncols
+
+
+@PROPERTY
+@given(matrices_with_a_dependent_row())
+def test_integer_kernel_matches_rational_rref(case):
+    rows, ncols = case
+    sparse = [tuple((c, v) for c, v in enumerate(row) if v) for row in rows]
+    kern = integer_kernel(sparse, ncols)
+    oracle = _rref_kernel(rows, ncols)
+    assert list(kern.basis) == oracle
+    assert (kern.rank, kern.nullity) == (ncols - len(oracle), len(oracle))
 
 
 # -- exit codes on fuzzed input ----------------------------------------------
