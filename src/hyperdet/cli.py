@@ -30,6 +30,7 @@ from .polynomials import (
     check_shape,
     exps_from_digits,
     from_json_bytes,
+    letters_for,
     parse_int,
     to_json_bytes,
     to_letter_text,
@@ -60,17 +61,17 @@ def _weight(text: str) -> tuple[int, ...]:
     return tuple(parse_int(p) for p in text.split(","))
 
 
-def _degrees(text: str) -> list[int]:
-    """N, or START:END:STEP with START >= 0 and STEP > 0."""
+def _degrees(text: str) -> range:
+    """N, or START:END:STEP with START >= 0 and STEP > 0; lazy, so any END is cheap."""
     parts = [parse_int(p) for p in text.split(":")]
     if len(parts) == 1:
-        return parts
+        return range(parts[0], parts[0] + 1)
     if len(parts) != 3:
         raise ValueError("expected START:END:STEP")
     start, end, step = parts
     if step <= 0 or start < 0:
         raise ValueError("need START >= 0 and STEP > 0")
-    return list(range(start, end + 1, step))
+    return range(start, end + 1, step)
 
 
 def _read_file(path: str) -> bytes:
@@ -100,6 +101,8 @@ def _render_polys(polys: list[IntPolynomial], fmt: str) -> bytes:
 
 
 def run_invariant(shape, degree: int, out_path: str | None, fmt: str) -> int:
+    if fmt == "text":
+        letters_for(shape)  # refuse a shape letter text cannot name before any work
     matrix = assemble_matrix(shape, degree)
     if matrix.ncols == 0:
         print(
@@ -122,7 +125,7 @@ def run_invariant(shape, degree: int, out_path: str | None, fmt: str) -> int:
     return 0
 
 
-def run_dims(shape, weight, degrees: list[int], verify_conjecture: bool) -> int:
+def run_dims(shape, weight, degrees: range, verify_conjecture: bool) -> int:
     if verify_conjecture:
         report = verify_table(shape)
         _emit(report.to_json_bytes(), None)
@@ -130,10 +133,8 @@ def run_dims(shape, weight, degrees: list[int], verify_conjecture: bool) -> int:
     if not degrees:
         print("empty degree range", file=sys.stderr)
         return 2
-    lines = []
     for n in degrees:
-        lines.append(f"{n}\t{count_dim(shape, n, weight)}\n")
-    _emit("".join(lines).encode("ascii"), None)
+        _emit(f"{n}\t{count_dim(shape, n, weight)}\n".encode("ascii"), None)
     return 0
 
 

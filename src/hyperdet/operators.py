@@ -40,8 +40,8 @@ SparseRow = tuple[tuple[int, int], ...]
 
 @dataclass(frozen=True)
 class RaisingOp:
-    """Mode m in 1..3, step t in 1..(size of mode m) - 1; operators that
-    take a shape refuse any other with ValueError."""
+    """Mode m in 1..(number of modes), step t in 1..(size of mode m) - 1;
+    operators that take a shape refuse any other with ValueError."""
 
     mode: int
     step: int
@@ -61,8 +61,8 @@ def raising_ops(shape) -> tuple[RaisingOp, ...]:
 
 
 def _check_op(shape: Shape, op: RaisingOp) -> None:
-    """Refuse an operator the shape does not have: mode 1..3, step 1..d_m - 1."""
-    if op.mode not in (1, 2, 3) or not 1 <= op.step < shape[op.mode - 1]:
+    """Refuse an operator the shape does not have: mode 1..k, step 1..d_m - 1."""
+    if not 1 <= op.mode <= len(shape) or not 1 <= op.step < shape[op.mode - 1]:
         raise ValueError(f"{op} is not a raising operator of shape {shape}")
 
 

@@ -1,9 +1,9 @@
 """Signed orbits of monomials under slice permutations of a (2,2,3) array.
 
-The group S2 x S2 x S3 permutes row, column and frontal-slice indices.  A
-group element carries a sign: the product of the parities of its first two
-components (frontal permutations contribute no sign).  The signed orbit of
-a monomial is the 24-term sum of signed images, like terms collected.
+The group S2 x S2 x S3 permutes row, column and frontal-slice indices, one
+permutation per mode.  An element's sign is the product of the parities of
+its first two permutations (frontal ones contribute no sign).  The signed
+orbit of a monomial is the 24-term sum of signed images, terms collected.
 
 The degree-6 invariant is a five-orbit combination: half the orbits of the
 first, third and fourth seed, minus the orbit of the second, minus half the
@@ -15,16 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from .polynomials import (
     Exponents,
     IntPolynomial,
     cell_count,
-    cells,
     check_shape,
     exps_from_digits,
-    flat_index,
+    fibers,
 )
 
 Permutation = tuple[int, ...]
@@ -41,42 +40,42 @@ def parity(p: Permutation) -> int:
     return -1 if inv % 2 else 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroupElement:
-    """Row, column and frontal-slice permutations, as 1-based image tuples."""
+    """One slice permutation per mode, as 1-based image tuples."""
 
-    rows: Permutation
-    cols: Permutation
-    fronts: Permutation
+    perms: tuple[Permutation, ...]
+
+    def __init__(self, *perms: Permutation):
+        object.__setattr__(self, "perms", perms)
 
     @property
-    def shape(self) -> tuple[int, int, int]:
-        return (len(self.rows), len(self.cols), len(self.fronts))
+    def shape(self) -> tuple[int, ...]:
+        return tuple(len(p) for p in self.perms)
 
     @property
     def sign(self) -> int:
-        """Parities of the first two components only; the frontal part is unsigned."""
-        return parity(self.rows) * parity(self.cols)
+        """Parities of the first two permutations only; the others are unsigned."""
+        return parity(self.perms[0]) * parity(self.perms[1])
 
 
 def group_elements(shape=(2, 2, 3)) -> tuple[GroupElement, ...]:
     """The full product group; 2 * 2 * 6 = 24 elements for shape (2,2,3)."""
-    a, b, c = check_shape(shape)
+    shape = check_shape(shape)
     return tuple(
-        GroupElement(pi, pj, pk)
-        for pi in permutations(range(1, a + 1))
-        for pj in permutations(range(1, b + 1))
-        for pk in permutations(range(1, c + 1))
+        GroupElement(*perms)
+        for perms in product(*(permutations(range(1, d + 1)) for d in shape))
     )
 
 
 def act(g: GroupElement, exps) -> Exponents:
-    """Relabel cells: the exponent at (i,j,k) moves to (rows(i), cols(j), fronts(k))."""
-    shape = g.shape
-    exps = tuple(exps)
-    new = [0] * len(exps)
-    for e, (i, j, k) in zip(exps, cells(shape)):
-        new[flat_index(shape, g.rows[i - 1], g.cols[j - 1], g.fronts[k - 1])] = e
+    """Relabel cells: in every mode-m fiber the entry at index t moves to index perms[m-1][t-1]."""
+    new = list(exps)
+    for mode, perm in enumerate(g.perms, start=1):
+        old = new[:]
+        for fiber in fibers(g.shape, mode):
+            for pos, image in zip(fiber, perm):
+                new[fiber[image - 1]] = old[pos]
     return tuple(new)
 
 

@@ -1,10 +1,10 @@
 """Exact sparse polynomials in the entries of a small 3-way array.
 
 A monomial is a flattened vector of non-negative integer exponents, one per
-array cell.  Cells are flattened frontal slice by frontal slice, row-major
-inside each slice: for shape (a, b, c) the cell (i, j, k) (all indices
-1-based) lands at flat position ((k-1)*a + (i-1))*b + (j-1).  For shape
-(2, 2, 3) this gives the variable order
+array cell.  The last mode is outermost, then modes 1..k-1 row-major: for
+shape (a, b, c) the cell (i, j, k) (all indices 1-based) lands at flat
+position ((k-1)*a + (i-1))*b + (j-1), frontal slice by frontal slice.  For
+shape (2, 2, 3) this gives the variable order
 
     x111 x121 x211 x221  x112 x122 x212 x222  x113 x123 x213 x223
 
@@ -46,10 +46,12 @@ import re
 import string
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import product
+from math import prod
 from typing import Iterable, Iterator, Mapping
 
 Exponents = tuple[int, ...]
-Shape = tuple[int, int, int]
+Shape = tuple[int, ...]
 
 #: Letter names of the twelve variables of a (2, 2, 3) array, in flat order.
 LETTERS = "abcdefghijkl"
@@ -86,7 +88,8 @@ def json_line(doc) -> bytes:
 
 
 def check_shape(dims) -> Shape:
-    """Validate a mode-size tuple: exactly three integer modes, each >= 1."""
+    """Validate a mode-size tuple: exactly three integer modes, each >= 1.
+    The only place that fixes the number of modes; all else loops over it."""
     dims = tuple(check_int(d) for d in dims)
     if len(dims) != 3:
         raise ValueError(f"expected 3 modes, got {dims!r}")
@@ -96,34 +99,32 @@ def check_shape(dims) -> Shape:
 
 
 def cell_count(shape: Shape) -> int:
-    a, b, c = shape
-    return a * b * c
+    return prod(shape)
 
 
-def flat_index(shape: Shape, i: int, j: int, k: int) -> int:
-    """Flat position of cell (i, j, k), 1-based indices; IndexError for a
-    cell outside the shape."""
-    a, b, c = shape
-    if not (0 < i <= a and 0 < j <= b and 0 < k <= c):
-        raise IndexError(f"cell {(i, j, k)} is outside shape {shape}")
-    return ((k - 1) * a + (i - 1)) * b + (j - 1)
+def flat_index(shape: Shape, *cell: int) -> int:
+    """Flat position of a cell, 1-based indices: the last mode outermost,
+    then modes 1..k-1 row-major; IndexError for a cell outside the shape."""
+    if len(cell) != len(shape) or not all(0 < x <= d for x, d in zip(cell, shape)):
+        raise IndexError(f"cell {cell} is outside shape {shape}")
+    pos = cell[-1] - 1
+    for x, d in zip(cell, shape[:-1]):
+        pos = pos * d + x - 1
+    return pos
 
 
-def cells(shape: Shape) -> Iterator[tuple[int, int, int]]:
-    """All cells (i, j, k) in flat order, 1-based."""
-    a, b, c = shape
-    for k in range(1, c + 1):
-        for i in range(1, a + 1):
-            for j in range(1, b + 1):
-                yield (i, j, k)
+def cells(shape: Shape) -> Iterator[tuple[int, ...]]:
+    """All cells in flat order, 1-based."""
+    ranges = [range(1, d + 1) for d in shape]
+    return ((*rest, last) for last, *rest in product(ranges[-1], *ranges[:-1]))
 
 
 @lru_cache(maxsize=32)
 def fibers(shape: Shape, mode: int) -> tuple[tuple[int, ...], ...]:
     """Flat positions of every mode-`mode` fiber: fibers in the flat order of
     their first cell, the cells of a fiber by their index in that mode."""
-    if mode not in (1, 2, 3):
-        raise ValueError(f"mode must be 1..3, got {mode}")
+    if not 1 <= mode <= len(shape):
+        raise ValueError(f"mode must be 1..{len(shape)}, got {mode}")
     out: dict[tuple[int, ...], list[int]] = {}
     for pos, cell in enumerate(cells(shape)):
         out.setdefault(cell[: mode - 1] + cell[mode:], []).append(pos)

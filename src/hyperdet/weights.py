@@ -21,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
-from .polynomials import Exponents, Shape, cells, check_int, check_shape, fibers
+from .polynomials import Exponents, Shape, cell_count, check_int, check_shape, fibers
 
 Weight = tuple[int, ...]
 
@@ -67,7 +68,7 @@ def mode_slice_sums(shape: Shape, exps: Exponents) -> tuple[tuple[int, ...], ...
     """Entry sums of every slice, grouped by mode."""
     return tuple(
         tuple(sum(exps[pos] for pos in sl) for sl in zip(*fibers(shape, mode)))
-        for mode in (1, 2, 3)
+        for mode in range(1, len(shape) + 1)
     )
 
 
@@ -127,17 +128,19 @@ def enumerate_basis(shape, n: int, weight) -> WeightSpaceBasis:
     if sums is None:
         return WeightSpaceBasis(shape, n, weight, ())
 
-    budgets = [list(s) for s in sums]
-    rows, cols, fronts = budgets
-    # Budget coordinates per flat position, plus which budgets the position
-    # closes (it is the last flat position drawing on that slice).
-    coords = [(i - 1, j - 1, k - 1) for i, j, k in cells(shape)]
-    closes: list[list[tuple[list[int], int]]] = [[] for _ in coords]
-    for mode, budget in enumerate(budgets, start=1):
-        for t, sl in enumerate(zip(*fibers(shape, mode))):
-            closes[max(sl)].append((budget, t))
-
-    n_cells = len(coords)
+    # One flat budget per slice, mode by mode.  Each flat position draws on
+    # one slot per mode and closes the slots it is the last position of.
+    budget = [s for mode_sums in sums for s in mode_sums]
+    n_cells = cell_count(shape)
+    slots: list[list[int]] = [[] for _ in range(n_cells)]
+    closes: list[list[int]] = [[] for _ in range(n_cells)]
+    every_slice = (sl for mode in range(1, len(shape) + 1) for sl in zip(*fibers(shape, mode)))
+    for slot, sl in enumerate(every_slice):
+        for pos in sl:
+            slots[pos].append(slot)
+        closes[max(sl)].append(slot)
+    draws = [itemgetter(*s) for s in slots]  # one slot per mode, so each returns a tuple
+    get = budget.__getitem__
     exps = [0] * n_cells
     found: list[Exponents] = []
 
@@ -145,30 +148,26 @@ def enumerate_basis(shape, n: int, weight) -> WeightSpaceBasis:
         if pos == n_cells:
             found.append(tuple(exps))
             return
-        i, j, k = coords[pos]
-        cap = min(rows[i], cols[j], fronts[k])
+        cap = min(draws[pos](budget))
         closing = closes[pos]
-        if closing:
-            # must zero out every budget this position closes
-            forced = {budget[idx] for budget, idx in closing}
-            if len(forced) > 1:
-                return
-            (value,) = forced
-            if value > cap:
-                return
-            lo = hi = value
-        else:
-            lo, hi = 0, cap
-        for e in range(hi, lo - 1, -1):
-            rows[i] -= e
-            cols[j] -= e
-            fronts[k] -= e
+        if closing and max(map(get, closing)) != cap:
+            return  # every budget this position closes must reach zero here
+        lo = cap if closing else 0
+        # exponents cap down to lo, one unit back to each slot per step
+        s = slots[pos]
+        for x in s:
+            budget[x] -= cap
+        e = cap
+        while True:
             exps[pos] = e
             extend(pos + 1)
-            rows[i] += e
-            cols[j] += e
-            fronts[k] += e
-        exps[pos] = 0
+            if e == lo:
+                break
+            e -= 1
+            for x in s:
+                budget[x] += 1
+        for x in s:
+            budget[x] += lo
 
     extend(0)
     return WeightSpaceBasis(shape, n, weight, tuple(found))

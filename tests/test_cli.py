@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hyperdet import reference
+from hyperdet import cli, reference
 from hyperdet.cli import main
 from hyperdet.polynomials import IntPolynomial, from_json_bytes, to_json_bytes
 
@@ -50,6 +50,18 @@ def test_invariant_text_format(capsys):
     lines = out.splitlines()
     assert lines[0] == "+ a^2 f g l^2"
     assert len(lines) == 66
+
+
+def test_invariant_text_refused_before_any_work(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("assemble_matrix called")
+
+    monkeypatch.setattr(cli, "assemble_matrix", no_work)
+    code, out, err = run(
+        capsys, "invariant", "--shape", "3x3x3", "--degree", "6", "--format", "text"
+    )
+    assert (code, out) == (4, "")
+    assert err == "letter text needs <= 26 cells, shape (3, 3, 3) has 27\n"
 
 
 def test_invariant_empty_cases(capsys):
@@ -119,6 +131,13 @@ def test_dims_weight_and_range(capsys):
     code, out, _ = run(capsys, "dims", *SHAPE_FLAGS, "--degrees", "6")
     assert code == 0
     assert out == "6\t80\n"
+
+
+def test_degrees_range_is_lazy():
+    degrees = cli._degrees("0:1000000000000000000:1")
+    assert len(degrees) == 10**18 + 1
+    assert degrees[-1] == 10**18
+    assert list(cli._degrees("6")) == [6]
 
 
 def test_dims_bad_inputs(capsys):
@@ -329,16 +348,24 @@ def test_transform_errors(golden_files, tmp_path, capsys):
         capsys, "transform", "--array", str(afgl), "--mode", "1", "--matrix", str(shear3)
     )
     assert code == 3
-    code, _, _ = run(
-        capsys, "transform", "--array", str(afgl), "--mode", "5", "--matrix", str(shear3)
-    )
-    assert code == 4
     notsquare = tmp_path / "notsquare.json"
     notsquare.write_bytes(b'{"matrix":[[1,2]]}')
     code, _, _ = run(
         capsys, "transform", "--array", str(afgl), "--mode", "3", "--matrix", str(notsquare)
     )
     assert code == 4
+
+
+@pytest.mark.parametrize("mode", [0, 4, 5])
+def test_transform_refuses_modes_the_shape_lacks(golden_files, tmp_path, capsys, mode):
+    _, _, afgl = golden_files
+    shear3 = tmp_path / "shear3.json"
+    shear3.write_bytes(b'{"matrix":[[1,2,0],[0,1,0],[0,0,1]]}')
+    code, out, err = run(
+        capsys, "transform", "--array", str(afgl), "--mode", str(mode), "--matrix", str(shear3)
+    )
+    assert (code, out) == (4, "")
+    assert err == f"mode must be 1..3, got {mode}\n"
 
 
 def test_verify_paper_all(capsys):

@@ -1,5 +1,6 @@
 """Raising operators, matrix assembly, and the exact integer kernel."""
 
+import hashlib
 from fractions import Fraction
 from itertools import product
 from random import Random
@@ -52,6 +53,8 @@ def test_weight_shifts():
     assert shifts == [(2, 0, 0, 0), (0, 2, 0, 0), (0, 0, 2, -1), (0, 0, -1, 2)]
     with pytest.raises(ValueError):
         weight_shift(SHAPE, RaisingOp(3, 3))
+    with pytest.raises(ValueError, match=r"^U4,1 is not a raising operator of shape \(2, 2, 3\)$"):
+        weight_shift(SHAPE, RaisingOp(4, 1))
 
 
 # Not operators of (2, 2, 3): mode outside 1..3, or step outside 1..d_m - 1.
@@ -197,6 +200,24 @@ def test_matrix_json_dump():
     for r, c, v in entries:
         rows[r].append((c, v))
     assert [tuple(r) for r in rows] == list(matrix.rows)
+
+
+# SHA-256 of matrix_to_json_bytes: pins the cell layout, the enumeration order
+# and the codomain order of every case the derive benchmark runs.
+MATRIX_SHA256 = {
+    ((2, 2, 3), 6): "739c14fc98b2d644ac7bfd6a65db0104fb3989bb802051617269f63177b092fc",
+    ((2, 2, 2), 4): "333f80cdc0ea389ba131fba9cd1f2ffc8bba7bcaa7329d34b1232e1329eb8e9b",
+    ((2, 2, 2), 8): "d72426699699c926f970eb379572142776f21e3c0e7fb0889d91e87cab5faaeb",
+    ((2, 2, 2), 12): "232f8002b2e024c2f2b882ab2defc40791e28c453735a7643440929fe305d433",
+    ((2, 2, 4), 4): "77b00b40fe2c77ee2173497a4c18f91c9eab39c16d140b97d71c884a6b5163d4",
+    ((2, 3, 3), 6): "d896c85a1a5457ee8895b25c8b52754928c085b580d960572aa0fc7bafdf3949",
+}
+
+
+@pytest.mark.parametrize("case", MATRIX_SHA256, ids=lambda c: "x".join(map(str, c[0])) + f"-{c[1]}")
+def test_matrix_bytes_fixed(case):
+    data = matrix_to_json_bytes(assemble_matrix(*case))
+    assert hashlib.sha256(data).hexdigest() == MATRIX_SHA256[case]
 
 
 def test_matrix_rows_sparse_sorted_nonzero():

@@ -31,9 +31,7 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
     def chain(p, q):
         return tuple(p[q[i] - 1] for i in range(len(p)))
 
-    return GroupElement(
-        chain(g.rows, h.rows), chain(g.cols, h.cols), chain(g.fronts, h.fronts)
-    )
+    return GroupElement(*(chain(p, q) for p, q in zip(g.perms, h.perms)))
 
 
 def test_parity():

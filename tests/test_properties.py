@@ -28,6 +28,7 @@ from hyperdet.operators import _transfer_pairs, integer_kernel, raising_ops
 from hyperdet.orbits import GroupElement, act
 from hyperdet.polynomials import (
     IntPolynomial,
+    cells,
     exps_from_digits,
     exps_to_digits,
     fibers,
@@ -101,6 +102,24 @@ def all_cells(shape):
 def moved(cell, mode, index):
     """The cell with its mode-`mode` index replaced."""
     return cell[: mode - 1] + (index,) + cell[mode:]
+
+
+def test_layout_closed_formula():
+    """Every SHAPES shape: cell (i, j, k) of (a, b, c) sits at ((k-1)a + (i-1))b + (j-1)."""
+    for shape in product(range(1, 4), repeat=3):
+        a, b, c = shape
+        by_formula = {
+            ((k - 1) * a + (i - 1)) * b + (j - 1): (i, j, k) for i, j, k in all_cells(shape)
+        }
+        assert list(cells(shape)) == [by_formula[pos] for pos in range(a * b * c)]
+        for pos, cell in by_formula.items():
+            assert flat_index(shape, *cell) == pos
+
+
+def test_fibers_refuse_modes_the_shape_lacks():
+    for mode in (0, 4):
+        with pytest.raises(ValueError, match=rf"^mode must be 1\.\.3, got {mode}$"):
+            fibers((2, 2, 3), mode)
 
 
 @PROPERTY
