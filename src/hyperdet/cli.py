@@ -125,11 +125,18 @@ def run_invariant(shape, degree: int, out_path: str | None, fmt: str) -> int:
     return 0
 
 
-def run_dims(shape, weight, degrees: range, verify_conjecture: bool) -> int:
+def run_dims(shape, weight, degrees: range | None, verify_conjecture: bool) -> int:
     if verify_conjecture:
+        # the report covers the paper's fixed table, so these would be ignored
+        for flag, value in (("--weight", weight), ("--degrees", degrees)):
+            if value is not None:
+                raise ValueError(f"{flag} cannot be combined with --verify-conjecture")
         report = verify_table(shape)
         _emit(report.to_json_bytes(), None)
         return 0 if report.ok else 1
+    weight = check_weight(shape, zero_weight(shape) if weight is None else weight)
+    if degrees is None:
+        degrees = _degrees("0:96:6")
     if not degrees:
         print("empty degree range", file=sys.stderr)
         return 2
@@ -194,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dims", help="weight-space dimensions")
     p.add_argument("--shape", required=True, type=_flag("shape", _shape))
     p.add_argument("--weight", type=_flag("weight", _weight))
-    p.add_argument("--degrees", default="0:96:6", type=_flag("degree range", _degrees))
+    p.add_argument("--degrees", type=_flag("degree range", _degrees))
     p.add_argument("--verify-conjecture", action="store_true")
 
     p = sub.add_parser("orbit", help="signed orbit of a monomial")
@@ -230,9 +237,7 @@ def main(argv=None) -> int:
         if args.command == "invariant":
             return run_invariant(args.shape, args.degree, args.out, args.format)
         if args.command == "dims":
-            weight = zero_weight(args.shape) if args.weight is None else args.weight
-            weight = check_weight(args.shape, weight)
-            return run_dims(args.shape, weight, args.degrees, args.verify_conjecture)
+            return run_dims(args.shape, args.weight, args.degrees, args.verify_conjecture)
         if args.command == "orbit":
             return run_orbit(args.seed, args.format, args.out)
         if args.command == "eval":

@@ -13,14 +13,19 @@ slice sum and w32 the second minus the third.
 Fixing a degree n and a weight fixes the entry sum of every slice in every
 mode.  The weight space is spanned by the monomials whose exponent arrays
 realize those slice sums; `enumerate_basis` lists them in canonical order
-and `count_dim` counts them without enumeration, which stays exact and fast
-up to degrees where the count reaches hundreds of millions.
+and `count_dim` counts them without enumeration.  The count depends only on
+the slice sums, whatever the order of the modes.  2x2xK with K >= 2, in
+any mode order, takes a slice DP that stays exact and fast up to degrees
+where the count reaches hundreds of millions; every other shape takes one
+recursion over the slices of the last mode, each slice counted the same
+way one mode down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from operator import itemgetter
 
 from .polynomials import Exponents, Shape, cell_count, check_int, check_shape, fibers
@@ -177,23 +182,23 @@ def count_dim(shape, n: int, weight) -> int:
     """Dimension of the weight space, computed without enumeration.
 
     Exact at any size (plain ints); agrees with len(enumerate_basis(...))
-    everywhere, which the tests check on small degrees.
+    everywhere, which the tests check on every small shape.  The count
+    depends only on the slice sums, and not on the order of the modes, so
+    the modes are put in order of size before the cached lookup; 2x2xK and
+    its permutations then take the slice DP.
     """
-    shape = check_shape(shape)
-    weight = check_weight(shape, weight)
-    # checked before the cache lookup, where True would hit the entry for 1
-    return _count_dim_cached(shape, check_int(n), weight)
-
-
-@lru_cache(maxsize=None)
-def _count_dim_cached(shape: Shape, n: int, weight: Weight) -> int:
-    sums = slice_sums_for(shape, n, weight)
+    sums = slice_sums_for(shape, n, weight)  # validates all three arguments
     if sums is None:
         return 0
-    rows, cols, fronts = sums
-    if shape[0] == 2 and shape[1] == 2:
-        return _count_2x2_slices(rows[0], cols[0], fronts)
-    return _count_general(rows, cols, fronts)
+    return _count_dim_cached(tuple(sorted(sums, key=len)))
+
+
+@lru_cache(maxsize=4096)
+def _count_dim_cached(margins: tuple[tuple[int, ...], ...]) -> int:
+    # the slice DP counts three modes; more modes take the recursion
+    if len(margins) == 3 and len(margins[0]) == len(margins[1]) == 2:
+        return _count_2x2_slices(margins[0][0], margins[1][0], margins[2])
+    return _margin_count(margins)
 
 
 def _block_count(x: int, y: int, t: int) -> int:
@@ -212,17 +217,19 @@ def _block_count(x: int, y: int, t: int) -> int:
 def _count_2x2_slices(r1: int, c1: int, fronts: tuple[int, ...]) -> int:
     """Count 2x2xK exponent arrays with the given slice sums.
 
-    Convolves over frontal slices.  State after each slice is the amount
-    (alpha, beta) already drawn from the first-row and first-column budgets;
-    each frontal slice with total f contributes _block_count(x, y, f) ways
-    of drawing (x, y) more.  Runs in O(n^4) for K = 3.
+    r1 is the first row sum, c1 the first column sum and `fronts` the
+    frontal slice sums.  Convolves over frontal slices.  State after each
+    slice is the amount (alpha, beta) already drawn from the first-row and
+    first-column budgets; each frontal slice with total f contributes
+    _block_count(x, y, f) ways of drawing (x, y) more.  Runs in O(n^4) for
+    K = 3, far faster than `_margin_count` on these shapes.
     """
     # dist[alpha][beta] = number of ways so far; dense lists of plain ints
     dist = [[0] * (c1 + 1) for _ in range(r1 + 1)]
     dist[0][0] = 1
     placed = 0
     total = sum(fronts)
-    for idx, f in enumerate(fronts):
+    for f in fronts:
         remaining = total - placed - f
         new = [[0] * (c1 + 1) for _ in range(r1 + 1)]
         for alpha in range(min(placed, r1) + 1):
@@ -263,43 +270,27 @@ def _bounded_compositions(total: int, bounds: tuple[int, ...]):
             yield (v,) + tail
 
 
-@lru_cache(maxsize=None)
-def _table_count(row_sums: tuple[int, ...], col_sums: tuple[int, ...]) -> int:
-    """Number of non-negative integer matrices with the given margins."""
-    if sum(row_sums) != sum(col_sums):
-        return 0
-    if len(row_sums) == 1:
-        return 1
-    total = 0
-    for first in _bounded_compositions(row_sums[0], col_sums):
-        rest = tuple(c - f for c, f in zip(col_sums, first))
-        total += _table_count(row_sums[1:], rest)
-    return total
+def _margin_count(margins: tuple[tuple[int, ...], ...]) -> int:
+    """Number of non-negative integer arrays with the given slice sums.
 
-
-def _count_general(rows, cols, fronts) -> int:
-    """Margin-constrained count for shapes whose first two modes are not 2x2.
-
-    Same slice-by-slice convolution, but the state keeps the full vectors of
-    remaining row and column budgets.  Only used off the 2x2xK fast path.
+    `margins` holds one tuple of slice sums per mode, all with the same
+    total.  The first slice of the last mode is an array with one mode
+    fewer; each choice of its slice sums, bounded by what is left in every
+    mode, contributes that slice's count, one level down, times the count
+    of the rest.  The memo lives for one call.
     """
-    states: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {
-        (tuple(rows), tuple(cols)): 1
-    }
-    for f in fronts:
-        new: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
-        for (rrem, crem), ways in states.items():
-            for rho in _bounded_compositions(f, rrem):
-                for gamma in _bounded_compositions(f, crem):
-                    blocks = _table_count(rho, gamma)
-                    if not blocks:
-                        continue
-                    key = (
-                        tuple(r - x for r, x in zip(rrem, rho)),
-                        tuple(c - y for c, y in zip(crem, gamma)),
-                    )
-                    new[key] = new.get(key, 0) + ways * blocks
-        states = new
-    zero_r = (0,) * len(rows)
-    zero_c = (0,) * len(cols)
-    return states.get((zero_r, zero_c), 0)
+
+    @lru_cache(maxsize=None)
+    def count(margins):
+        *lower, last = margins
+        if not lower:
+            return 1
+        if len(last) == 1:
+            return count(tuple(lower))
+        total = 0
+        for first in product(*(_bounded_compositions(last[0], m) for m in lower)):
+            rest = tuple(tuple(s - x for s, x in zip(m, v)) for m, v in zip(lower, first))
+            total += count(first) * count(rest + (last[1:],))
+        return total
+
+    return count(margins)

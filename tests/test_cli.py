@@ -162,6 +162,21 @@ def test_dims_verify_conjecture(capsys):
     assert run(capsys, "dims", "--shape", "2x2x2", "--verify-conjecture")[0] == 4
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--weight", "2,0,0,0"],
+        ["--weight", "1,0,0,0"],  # infeasible at every degree
+        ["--degrees", "6"],
+        ["--weight", "2,0,0,0", "--degrees", "6"],
+    ],
+)
+def test_dims_verify_conjecture_refuses_weight_and_degrees(capsys, flags):
+    code, out, err = run(capsys, "dims", *SHAPE_FLAGS, *flags, "--verify-conjecture")
+    assert (code, out) == (4, "")
+    assert flags[0] in err and "--verify-conjecture" in err
+
+
 def test_orbit_json_and_text(capsys):
     code, out, _ = run(capsys, "orbit", "--seed", "100110010110")
     assert code == 0

@@ -1,5 +1,5 @@
 """Property tests: the cell layout, serialization round trips, the exact
-kernel and the CLI exit-code contract.
+kernel, the weight-space count and the CLI exit-code contract.
 
 Every example is derandomized and no example database is kept, so the run
 is the same on every machine.  Fuzzed CLI runs never ask for a degree or a
@@ -10,7 +10,7 @@ import contextlib
 import io
 import json
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +38,14 @@ from hyperdet.polynomials import (
     to_letter_text,
 )
 from hyperdet.verify import _rref_kernel
-from hyperdet.weights import mode_slice_sums
+from hyperdet.weights import (
+    _count_dim_cached,
+    _margin_count,
+    count_dim,
+    mode_slice_sums,
+    slice_sums_for,
+    weight_of,
+)
 
 from helpers import from_letter_text
 
@@ -155,6 +162,36 @@ def test_mode_slice_sums_brute_force(monomial):
         for mode, d in enumerate(shape)
     )
     assert mode_slice_sums(shape, exps) == expected
+
+
+@st.composite
+def permuted_weight_spaces(draw):
+    """A shape, a degree n <= 6, the weight of a random monomial of that
+    degree, and a permutation of the modes."""
+    shape = draw(SHAPES)
+    n_cells = shape[0] * shape[1] * shape[2]
+    n = draw(st.integers(0, 6))
+    exps = [0] * n_cells
+    for pos in draw(st.lists(st.integers(0, n_cells - 1), min_size=n, max_size=n)):
+        exps[pos] += 1
+    return shape, n, weight_of(shape, tuple(exps)), draw(st.permutations(range(3)))
+
+
+@PROPERTY
+@given(permuted_weight_spaces())
+def test_count_ignores_mode_order(case):
+    shape, n, weight, perm = case
+    cuts = list(accumulate((d - 1 for d in shape), initial=0))
+    blocks = [weight[cuts[m] : cuts[m + 1]] for m in range(3)]
+    moved_shape = tuple(shape[m] for m in perm)
+    moved_weight = tuple(w for m in perm for w in blocks[m])
+    _count_dim_cached.cache_clear()
+    want = count_dim(shape, n, weight)
+    _count_dim_cached.cache_clear()
+    assert count_dim(moved_shape, n, moved_weight) == want
+    # the recursion itself, with the modes in the permuted order
+    sums = slice_sums_for(shape, n, weight)
+    assert _margin_count(tuple(sums[m] for m in perm)) == want
 
 
 @PROPERTY

@@ -1,11 +1,12 @@
 """Weight maps, forced slice sums, basis enumeration, and the counting DP."""
 
 from itertools import product
+from math import prod
 from random import Random
 
 import pytest
 
-from hyperdet import reference
+from hyperdet import reference, weights
 from hyperdet.operators import assemble_matrix
 from hyperdet.polynomials import exps_from_digits, exps_to_digits, flat_index
 from hyperdet.weights import (
@@ -140,6 +141,52 @@ def test_count_matches_enumeration_random():
             assert count_dim(shape, n, weight) == len(
                 enumerate_basis(shape, n, weight)
             ), (shape, n, weight)
+
+
+# 18 cells takes in 2x3x3, the smallest shape off the 2x2 slice DP whose
+# slices have two modes longer than 1, so the recursion counts real tables
+SMALL_SHAPES = [shape for shape in product(range(1, 19), repeat=3) if prod(shape) <= 18]
+
+
+def test_count_matches_enumeration_on_every_small_shape():
+    # the zero weight and the weights of seeded random monomials, so every
+    # sampled weight is feasible
+    rng = Random(11)
+    for shape in SMALL_SHAPES:
+        for n in range(6):
+            sampled = {zero_weight(shape)}
+            for _ in range(3):
+                exps = [0] * prod(shape)
+                for _ in range(n):
+                    exps[rng.randrange(prod(shape))] += 1
+                sampled.add(weight_of(shape, tuple(exps)))
+            for weight in sampled:
+                assert count_dim(shape, n, weight) == len(
+                    enumerate_basis(shape, n, weight)
+                ), (shape, n, weight)
+
+
+def test_count_2x2_slice_dp_serves_every_mode_order(monkeypatch):
+    count_2x2_slices = weights._count_2x2_slices
+    seen = []
+
+    def spy(r1, c1, fronts):
+        seen.append(fronts)
+        return count_2x2_slices(r1, c1, fronts)
+
+    monkeypatch.setattr(weights, "_count_2x2_slices", spy)
+    weights._count_dim_cached.cache_clear()
+    for shape, weight in [((3, 2, 2), (0, 0, 0, 0)), ((2, 3, 2), (0, 2, -1, 0))]:
+        assert count_dim(shape, 6, weight) == len(enumerate_basis(shape, 6, weight))
+    # the size-3 mode's slice sums, after the two size-2 modes
+    assert seen == [(2, 2, 2), (3, 1, 2)]
+
+
+def test_module_caches_are_bounded():
+    caches = {name: obj for name, obj in vars(weights).items() if hasattr(obj, "cache_info")}
+    assert "_count_dim_cached" in caches
+    for name, cache in caches.items():
+        assert cache.cache_info().maxsize is not None, name
 
 
 def test_count_exhaustive_small_weights():
