@@ -212,8 +212,11 @@ def invariance_check(p: IntPolynomial, trials: int, seed: int) -> InvarianceRepo
 
     Each trial draws a random integer array (entries in [-5, 5]) and one
     random unimodular matrix per mode, applies them in mode order, and
-    compares the two exact values.  Failures are recorded, not raised.
+    compares the two exact values.  Failures are recorded, not raised;
+    `trials` must be an int >= 1, else ValueError.
     """
+    if check_int(trials) < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     rng = Random(seed)
     outcomes = []
     for idx in range(trials):

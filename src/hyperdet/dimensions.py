@@ -89,39 +89,29 @@ def conjecture_dim(formula_id: str, n: int) -> Fraction:
     return _poly_eval(formula_coefficients(formula_id), n)
 
 
-@dataclass(frozen=True)
-class DataColumn:
-    """One tabulated dimension column: degrees and their exact dimensions."""
-
-    degrees: tuple[int, ...]
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.degrees) != len(self.dims):
-            raise ValueError("degrees and dims must have equal length")
-
-
-def table_column(formula_id: str) -> DataColumn:
-    """The tabulated column for a formula id (17 points, n = 0, 6, ..., 96)."""
+def table_column(formula_id: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """A formula id's tabulated column as (degrees, dims), n = 0, 6, ..., 96."""
     _, idx = TABLE_COLUMNS[_check_id(formula_id)]
-    return DataColumn(
-        degrees=tuple(row[0] for row in reference.DIM_TABLE),
-        dims=tuple(row[idx] for row in reference.DIM_TABLE),
+    return (
+        tuple(row[0] for row in reference.DIM_TABLE),
+        tuple(row[idx] for row in reference.DIM_TABLE),
     )
 
 
-def interpolate_dims(column: DataColumn) -> tuple[Fraction, ...]:
-    """Exact degree-<=7 interpolation through the first 8 points.
+def interpolate_dims(degrees, dims) -> tuple[Fraction, ...]:
+    """Exact degree-<=7 interpolation through the first 8 (degree, dim) points.
 
     The remaining points must land on the curve; a point off the curve
     raises, since then the column is not polynomial of degree <= 7.
     Returns the expanded coefficients, constant term first, with trailing
     zero coefficients trimmed.
     """
-    if len(column.degrees) < 8:
+    if len(degrees) != len(dims):
+        raise ValueError("degrees and dims must have equal length")
+    if len(degrees) < 8:
         raise ValueError("need at least 8 points for a degree-7 fit")
-    xs = [Fraction(x) for x in column.degrees[:8]]
-    ys = [Fraction(y) for y in column.dims[:8]]
+    xs = [Fraction(x) for x in degrees[:8]]
+    ys = [Fraction(y) for y in dims[:8]]
     coeffs = [Fraction(0)] * 8
     for i in range(8):
         # Lagrange basis polynomial for node i, expanded
@@ -135,7 +125,7 @@ def interpolate_dims(column: DataColumn) -> tuple[Fraction, ...]:
         scale = ys[i] / denom
         for k, c in enumerate(basis):
             coeffs[k] += scale * c
-    for x, y in zip(column.degrees[8:], column.dims[8:]):
+    for x, y in zip(degrees[8:], dims[8:]):
         got = _poly_eval(coeffs, x)
         if got != y:
             raise ValueError(
@@ -222,8 +212,8 @@ def verify_table(shape=(2, 2, 3)) -> TableReport:
         raise ValueError("dimension table is only available for shape (2, 2, 3)")
     entries, interpolation = [], []
     for formula_id, (weight, _) in TABLE_COLUMNS.items():
-        column = table_column(formula_id)
-        for n, fixture in zip(column.degrees, column.dims):
+        degrees, dims = table_column(formula_id)
+        for n, fixture in zip(degrees, dims):
             entries.append(
                 TableEntry(
                     n=n,
@@ -234,7 +224,7 @@ def verify_table(shape=(2, 2, 3)) -> TableReport:
                 )
             )
         try:
-            interpolation.append(Interpolant(formula_id, interpolate_dims(column)))
+            interpolation.append(Interpolant(formula_id, interpolate_dims(degrees, dims)))
         except ValueError as exc:
             interpolation.append(Interpolant(formula_id, error=str(exc)))
     return TableReport(shape, tuple(entries), tuple(interpolation))

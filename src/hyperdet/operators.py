@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .polynomials import Exponents, IntPolynomial, Shape, check_shape, fibers, json_line
 from .weights import (
@@ -188,21 +187,11 @@ class KernelResult:
 
 
 def primitive_vector(vec) -> tuple[int, ...]:
-    """Scale a rational vector to coprime integers, first nonzero positive."""
-    fracs = [Fraction(v) for v in vec]
-    denom = lcm(*(f.denominator for f in fracs)) if fracs else 1
-    ints = [int(f * denom) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-u for u in ints]
-            break
-    return tuple(ints)
+    """Divide an integer vector by its content, first nonzero entry positive."""
+    g = gcd(*vec)
+    if next((v for v in vec if v), 0) < 0:
+        g = -g
+    return tuple(v // g for v in vec) if g else tuple(vec)
 
 
 def _certified(rows, ncols: int, free, vectors) -> bool:

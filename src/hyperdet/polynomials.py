@@ -89,7 +89,8 @@ def json_line(doc) -> bytes:
 
 def check_shape(dims) -> Shape:
     """Validate a mode-size tuple: exactly three integer modes, each >= 1.
-    The only place that fixes the number of modes; all else loops over it."""
+    Layout, enumeration and operators loop over the modes; the array slice
+    nesting, the orbit sign and the battery's oracles are three-mode too."""
     dims = tuple(check_int(d) for d in dims)
     if len(dims) != 3:
         raise ValueError(f"expected 3 modes, got {dims!r}")
@@ -181,33 +182,15 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _require_same_shape(self, other: "IntPolynomial") -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
-
     def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
         if not isinstance(other, IntPolynomial):
             return NotImplemented
-        self._require_same_shape(other)
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
         acc = dict(self.terms)
         for e, c in other.terms:
             acc[e] = acc.get(e, 0) + c
         return IntPolynomial(self.shape, acc)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(self.shape, [(e, -c) for e, c in self.terms])
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, scalar: int) -> "IntPolynomial":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return IntPolynomial(self.shape, [(e, c * scalar) for e, c in self.terms])
-
-    __rmul__ = __mul__
 
     def __len__(self) -> int:
         return len(self.terms)

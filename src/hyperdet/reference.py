@@ -2,100 +2,30 @@
 
 These constants are the published ground truth that the verification battery
 and the golden tests compare against.  Nothing in this module is computed;
-every value is a transcription, and the test suite cross-checks the pipeline
-against all of them (enumeration order, kernel coefficients, orbit structure,
-weight-space dimensions).
+every value is a transcription, here or in the `data` files, and the test
+suite cross-checks the pipeline against all of them (enumeration order,
+kernel coefficients, orbit structure, weight-space dimensions).
 """
 
 from __future__ import annotations
 
 from importlib import resources
 
+
+def basis_file_bytes() -> bytes:
+    """Golden file contents for the degree-6 weight-zero basis."""
+    return resources.files("hyperdet.data").joinpath("basis_2x2x3_deg6.txt").read_bytes()
+
+
+def hyperdet_file_bytes() -> bytes:
+    """Golden file contents for the 66-term invariant in canonical JSON."""
+    return resources.files("hyperdet.data").joinpath("hyperdet_2x2x3.json").read_bytes()
+
+
 # The 80 weight-zero monomials of degree 6 for shape (2, 2, 3), written as
 # 12-digit exponent strings in flat order, listed in descending
-# lexicographic (canonical) order.
-BASIS_DEG6_WEIGHT0 = (
-    "200010010002",
-    "200001100002",
-    "200001010011",
-    "200000110101",
-    "200000021001",
-    "200000020110",
-    "110010100002",
-    "110010010011",
-    "110001100011",
-    "110001010020",
-    "110000200101",
-    "110000111001",
-    "110000110110",
-    "110000021010",
-    "101011000002",
-    "101010010101",
-    "101002000011",
-    "101001100101",
-    "101001011001",
-    "101001010110",
-    "101000110200",
-    "101000021100",
-    "100120000002",
-    "100111000011",
-    "100110100101",
-    "100110011001",
-    "100110010110",
-    "100102000020",
-    "100101101001",
-    "100101100110",
-    "100101011010",
-    "100100200200",
-    "100100111100",
-    "100100022000",
-    "020010100011",
-    "020010010020",
-    "020001100020",
-    "020000201001",
-    "020000200110",
-    "020000111010",
-    "011020000002",
-    "011011000011",
-    "011010100101",
-    "011010011001",
-    "011010010110",
-    "011002000020",
-    "011001101001",
-    "011001100110",
-    "011001011010",
-    "011000200200",
-    "011000111100",
-    "011000022000",
-    "010120000011",
-    "010111000020",
-    "010110101001",
-    "010110100110",
-    "010110011010",
-    "010101101010",
-    "010100201100",
-    "010100112000",
-    "002011000101",
-    "002010010200",
-    "002002001001",
-    "002002000110",
-    "002001100200",
-    "002001011100",
-    "001120000101",
-    "001111001001",
-    "001111000110",
-    "001110100200",
-    "001110011100",
-    "001102001010",
-    "001101101100",
-    "001101012000",
-    "000220001001",
-    "000220000110",
-    "000211001010",
-    "000210101100",
-    "000210012000",
-    "000201102000",
-)
+# lexicographic (canonical) order: the golden file, one monomial a line.
+BASIS_DEG6_WEIGHT0 = tuple(basis_file_bytes().decode("ascii").split())
 
 # Kernel coefficient vector of the degree-6 invariant, as a 4x20 table read
 # row-major against BASIS_DEG6_WEIGHT0.  66 entries are nonzero, all +-1 or
@@ -203,13 +133,3 @@ DIM_TABLE = (
     (90, 159853600, 159380712, 159258720),
     (96, 244344689, 243704520, 243539280),
 )
-
-
-def basis_file_bytes() -> bytes:
-    """Golden file contents for the degree-6 weight-zero basis."""
-    return resources.files("hyperdet.data").joinpath("basis_2x2x3_deg6.txt").read_bytes()
-
-
-def hyperdet_file_bytes() -> bytes:
-    """Golden file contents for the 66-term invariant in canonical JSON."""
-    return resources.files("hyperdet.data").joinpath("hyperdet_2x2x3.json").read_bytes()

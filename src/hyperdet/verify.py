@@ -13,7 +13,8 @@ Oracle independence, by check:
   transcription fixtures, never derived from the code under test;
 * the 2x2x2 regression recomputes the kernel with a separately written
   brute-force path (direct composition enumeration, inline operator action,
-  Gauss-Jordan elimination over Fraction) and compares primitive vectors;
+  Gauss-Jordan elimination over Fraction, its own normalization) and
+  compares primitive vectors;
 * invariance and annihilation are semantic properties checked by direct
   evaluation, independent of the elimination code entirely.
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from random import Random
 from typing import Callable
 
@@ -45,7 +47,6 @@ from .operators import (
     assemble_matrix,
     exact_kernel,
     kernel_polynomials,
-    primitive_vector,
     raising_ops,
 )
 from .orbits import DECOMPOSITION_SEEDS, signed_orbit, theorem_decomposition
@@ -327,7 +328,8 @@ def _oracle_raise(shape, mode: int, step: int, exps):
 
 
 def _rref_kernel(rows, ncols: int):
-    """Plain Gauss-Jordan over Fraction; primitive integer kernel basis."""
+    """Plain Gauss-Jordan over Fraction; kernel basis normalized here, not by
+    the pipeline: coprime integers, first nonzero entry positive."""
     mat = [[Fraction(v) for v in row] for row in rows]
     pivots: list[int] = []
     r = 0
@@ -351,7 +353,12 @@ def _rref_kernel(rows, ncols: int):
         vec[fcol] = Fraction(1)
         for i, pcol in enumerate(pivots):
             vec[pcol] = -mat[i][fcol]
-        basis.append(primitive_vector(vec))
+        denom = lcm(*(v.denominator for v in vec))
+        ints = [int(v * denom) for v in vec]
+        g = gcd(*ints)
+        if next(v for v in ints if v) < 0:
+            g = -g
+        basis.append(tuple(v // g for v in ints))
     return basis
 
 

@@ -290,6 +290,12 @@ def test_invariance_of_the_invariant():
     assert report.ok and report.passes == 10
 
 
+@pytest.mark.parametrize("trials", [0, -3, 2.0, True, "4"])
+def test_invariance_check_refuses_bad_trial_counts(trials):
+    with pytest.raises(ValueError):
+        invariance_check(fixture_invariant(), trials=trials, seed=1)
+
+
 def test_non_invariant_fails():
     # x111 changes under a shear adding row 2 into row 1 when x211 != 0
     x111 = monomial(SHAPE, (1,) + (0,) * 11)

@@ -7,7 +7,6 @@ import pytest
 from hyperdet import reference
 from hyperdet.dimensions import (
     FORMULA_IDS,
-    DataColumn,
     conjecture_dim,
     formula_coefficients,
     interpolate_dims,
@@ -34,10 +33,10 @@ def test_formulas_are_degree_seven():
 
 def test_formulas_match_fixture_table():
     for formula_id in FORMULA_IDS:
-        column = table_column(formula_id)
-        assert column.degrees == tuple(range(0, 97, 6))
-        assert len(column.dims) == 17
-        for n, dim in zip(column.degrees, column.dims):
+        degrees, dims = table_column(formula_id)
+        assert degrees == tuple(range(0, 97, 6))
+        assert len(dims) == 17
+        for n, dim in zip(degrees, dims):
             assert conjecture_dim(formula_id, n) == dim, (formula_id, n)
 
 
@@ -60,26 +59,25 @@ def test_verify_table_other_shape_rejected():
 
 def test_interpolation_recovers_each_formula():
     for formula_id in FORMULA_IDS:
-        fitted = interpolate_dims(table_column(formula_id))
+        fitted = interpolate_dims(*table_column(formula_id))
         assert fitted == formula_coefficients(formula_id)
 
 
 def test_interpolation_constant_column():
-    column = DataColumn(degrees=tuple(range(0, 97, 6)), dims=(1,) * 17)
-    assert interpolate_dims(column) == (Fraction(1),)
+    assert interpolate_dims(tuple(range(0, 97, 6)), (1,) * 17) == (Fraction(1),)
 
 
 def test_interpolation_rejects_off_curve_point():
-    column = table_column("weight0")
-    dims = list(column.dims)
+    degrees, dims = table_column("weight0")
+    dims = list(dims)
     dims[-1] += 1  # corrupt a validation point beyond the 8 fit points
     with pytest.raises(ValueError):
-        interpolate_dims(DataColumn(degrees=column.degrees, dims=tuple(dims)))
+        interpolate_dims(degrees, tuple(dims))
 
 
 def test_interpolation_needs_eight_points():
     with pytest.raises(ValueError):
-        interpolate_dims(DataColumn(degrees=(0, 6, 12), dims=(1, 80, 1323)))
+        interpolate_dims((0, 6, 12), (1, 80, 1323))
 
 
 def test_integrality_beyond_the_table():
@@ -95,8 +93,8 @@ def test_bad_inputs():
         conjecture_dim("weight9999", 6)
     with pytest.raises(ValueError):
         conjecture_dim("weight0", -6)
-    with pytest.raises(ValueError):
-        DataColumn(degrees=(0, 6), dims=(1,))
+    with pytest.raises(ValueError, match="equal length"):
+        interpolate_dims(tuple(range(0, 97, 6)), (1,) * 16)
 
 
 def test_fixture_table_shape():

@@ -153,4 +153,4 @@ def test_scale_exact_guards_halving():
     p = monomial(SHAPE, (1,) + (0,) * 11, 3)
     with pytest.raises(ArithmeticError):
         scale_exact(p, Fraction(1, 2))
-    assert scale_exact(2 * p, Fraction(1, 2)) == p
+    assert scale_exact(p + p, Fraction(1, 2)) == p

@@ -124,10 +124,10 @@ def test_arithmetic():
     rng = Random(7)
     for _ in range(25):
         p, q = random_poly(rng), random_poly(rng)
-        assert (p + q) - q == p
-        assert p + (-p) == IntPolynomial.zero(SHAPE)
-        assert 2 * p == p + p
-        assert (p - q) + q == p
+        assert p + q == q + p
+        assert p + IntPolynomial.zero(SHAPE) == p
+        for e, _ in p.terms + q.terms:
+            assert coefficient(p + q, e) == coefficient(p, e) + coefficient(q, e)
     assert coefficient(p, p.terms[0][0]) == p.terms[0][1]
     assert coefficient(p, (9,) * 12) == 0
 

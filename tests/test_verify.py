@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from hyperdet import reference, verify
+from hyperdet import operators, reference, verify
 from hyperdet.polynomials import exps_from_digits, from_json_bytes
 from hyperdet.weights import _count_dim_cached, enumerate_basis
 
@@ -87,6 +87,9 @@ def test_rref_kernel_small_cases():
         == []
     )
     assert verify._rref_kernel([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    # rational kernel vectors: cleared of denominators, positive first entry
+    assert verify._rref_kernel([[2, 3]], 2) == [(3, -2)]
+    assert verify._rref_kernel([[0, 2, 3]], 3) == [(1, 0, 0), (0, 3, -2)]
 
 
 def test_oracle_invariants_cayley():
@@ -94,6 +97,19 @@ def test_oracle_invariants_cayley():
     assert len(monos) == 12
     assert len(kernel) == 1
     assert sorted(abs(c) for c in kernel[0] if c) == [1] * 4 + [2] * 6 + [4] * 2
+
+
+def test_oracle_does_not_call_the_pipeline_normalization(monkeypatch):
+    matrix = operators.assemble_matrix((2, 2, 2), 4)
+    pipeline = operators.exact_kernel(matrix).basis
+
+    def refuse(vec):
+        raise AssertionError("the oracle called operators.primitive_vector")
+
+    # swap the function body, so no name the function was imported under escapes
+    monkeypatch.setattr(operators.primitive_vector, "__code__", refuse.__code__)
+    _, kernel = verify.oracle_invariants((2, 2, 2), 4)
+    assert kernel == list(pipeline) and len(kernel) == 1
 
 
 def test_crash_is_reported_not_raised(monkeypatch):

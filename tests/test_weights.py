@@ -132,15 +132,18 @@ def test_enumeration_matches_brute_force():
 
 
 def test_count_matches_enumeration_random():
+    # each weight is that of a random monomial of degree n, so it is feasible
     rng = Random(5)
     for shape in [SHAPE, (2, 2, 2), (3, 2, 2), (2, 3, 4)]:
-        n_comp = sum(d - 1 for d in shape)
         for _ in range(20):
             n = rng.randint(0, 8)
-            weight = tuple(rng.randint(-2, 2) for _ in range(n_comp))
-            assert count_dim(shape, n, weight) == len(
-                enumerate_basis(shape, n, weight)
-            ), (shape, n, weight)
+            exps = [0] * prod(shape)
+            for _ in range(n):
+                exps[rng.randrange(prod(shape))] += 1
+            weight = weight_of(shape, tuple(exps))
+            counted = count_dim(shape, n, weight)
+            assert counted, (shape, n, weight)
+            assert counted == len(enumerate_basis(shape, n, weight)), (shape, n, weight)
 
 
 # 18 cells takes in 2x3x3, the smallest shape off the 2x2 slice DP whose
